@@ -101,43 +101,6 @@ func (b *BTB) Insert(pc, target int) {
 	*e = entry{valid: true, tag: int64(pc), counter: 3, target: target}
 }
 
-// ---- replay fast-path hooks -------------------------------------------
-
-// EntrySnap is the exported view of one BTB entry for the block-timing
-// memoizer in package pipeline. Snapshots are canonicalized: an invalid
-// entry reads as all-zero, because no BTB path reads the other fields of an
-// invalid entry — two invalid entries with different stale contents behave
-// identically.
-type EntrySnap struct {
-	Valid   bool
-	Tag     int64
-	Counter uint8
-	Target  int
-}
-
-// IndexOf returns the entry index pc maps to.
-func (b *BTB) IndexOf(pc int) int64 { return int64(pc) & b.mask }
-
-// SnapEntry returns the (canonicalized) snapshot of one entry.
-func (b *BTB) SnapEntry(i int64) EntrySnap {
-	e := &b.entries[i]
-	if !e.valid {
-		return EntrySnap{}
-	}
-	return EntrySnap{Valid: true, Tag: e.tag, Counter: e.counter, Target: e.target}
-}
-
-// PutEntry overwrites one entry with the given snapshot.
-func (b *BTB) PutEntry(i int64, s EntrySnap) {
-	b.entries[i] = entry{valid: s.Valid, tag: s.Tag, counter: s.Counter, target: s.Target}
-}
-
-// AddStats adds a delta onto the accumulated statistics.
-func (b *BTB) AddStats(d Stats) {
-	b.stats.Branches += d.Branches
-	b.stats.Mispredicts += d.Mispredicts
-}
-
 // Update trains the predictor with the resolved outcome of the conditional
 // branch at pc and records whether the earlier prediction was correct.
 func (b *BTB) Update(pc int, taken bool, target int) (mispredicted bool) {

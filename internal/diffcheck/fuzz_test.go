@@ -6,12 +6,6 @@ import (
 	"elag/internal/asm"
 )
 
-// FuzzRandomProgram feeds generator seeds to the full differential
-// checker: whatever program the seed produces must assemble, terminate
-// under fuel, and replay through every configuration with zero invariant
-// violations. The fuzzer explores the generator's whole decision space;
-// any seed that trips an invariant is a minimized, reproducible
-// counterexample against either the timing model or the emulator.
 // FuzzOptLevels feeds generator seeds to the optimization-level
 // differential checker: whatever MC program the seed produces must compile
 // at O0, O1 and O2 (with IR verification between passes) and behave
@@ -37,39 +31,12 @@ func FuzzOptLevels(f *testing.F) {
 	})
 }
 
-// FuzzReplayMemo feeds generator seeds to the fast-path equivalence
-// checker: whatever program the seed produces must replay identically
-// (modulo the Memo counters) with memoization and kernel specialization
-// on or off, in every combination, under every reference configuration.
-// A seed that trips a divergence is a minimized witness against the block
-// fingerprint, the guard match, or the recording replay.
-func FuzzReplayMemo(f *testing.F) {
-	for seed := int64(1); seed <= 20; seed++ {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		src := GenProgram(seed)
-		p, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatalf("generated program does not assemble: %v\n%s", err, src)
-		}
-		rep, err := CheckMemoEquivalence(p, Options{Fuel: 200_000})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := rep.Err(); err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, src)
-		}
-	})
-}
-
 // FuzzMech feeds generator seeds to the mechanism-layer equivalence
 // checker: whatever program the seed produces must behave identically with
 // the paper mechanisms configured through registry specs or typed fields,
-// and the stride/pcax assist mechanisms must hold every replay invariant
-// (including the memoization fast-path matrix). A tripping seed is a
-// minimized witness against a mechanism's snapshot contract or the assist
-// path's timing accounting.
+// and the stride/pcax assist mechanisms must hold every replay invariant.
+// A tripping seed is a minimized witness against a mechanism's determinism
+// or the assist path's timing accounting.
 func FuzzMech(f *testing.F) {
 	for seed := int64(1); seed <= 20; seed++ {
 		f.Add(seed)
@@ -90,6 +57,12 @@ func FuzzMech(f *testing.F) {
 	})
 }
 
+// FuzzRandomProgram feeds generator seeds to the full differential
+// checker: whatever program the seed produces must assemble, terminate
+// under fuel, and replay through every configuration with zero invariant
+// violations. The fuzzer explores the generator's whole decision space;
+// any seed that trips an invariant is a minimized, reproducible
+// counterexample against either the timing model or the emulator.
 func FuzzRandomProgram(f *testing.F) {
 	for seed := int64(1); seed <= 20; seed++ {
 		f.Add(seed)

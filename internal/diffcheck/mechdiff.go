@@ -8,8 +8,8 @@
 //     The seam may not perturb the model it was extracted from.
 //   - Soundness: every registered assist mechanism (stride, pcax, ...)
 //     must satisfy the full invariant suite — lockstep trace integrity,
-//     architectural transparency, counter algebra, steering, streaming
-//     equivalence, and the memoization/specialization fast-path matrix.
+//     architectural transparency, counter algebra, steering and streaming
+//     equivalence.
 package diffcheck
 
 import (
@@ -97,8 +97,8 @@ func specIdentityPairs() []struct {
 }
 
 // CheckMechEquivalence runs the mechanism-layer differential suite on prog:
-// the full invariant check and the memoization fast-path matrix over
-// MechConfigs (or opt.Configs when set), plus the typed-vs-spec identity
+// the full invariant check over MechConfigs (or opt.Configs when set),
+// plus the typed-vs-spec identity
 // comparison for the paper mechanisms. It returns an error only when the
 // reference emulation itself faults; violations land in the Report.
 func CheckMechEquivalence(prog *isa.Program, opt Options) (*Report, error) {
@@ -112,19 +112,13 @@ func CheckMechEquivalence(prog *isa.Program, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	mrep, err := CheckMemoEquivalence(prog, opt)
-	if err != nil {
-		return nil, err
-	}
-	rep.Violations = append(rep.Violations, mrep.Violations...)
 	checkSpecIdentity(prog, opt.Fuel, rep)
 	return rep, nil
 }
 
 // checkSpecIdentity simulates each typed/spec pair and requires the full
-// Metrics structs to be deeply equal — Memo counters included, since the
-// normalized configurations are the same machine and must take the same
-// fast paths.
+// Metrics structs to be deeply equal: the normalized configurations are
+// the same machine.
 func checkSpecIdentity(prog *isa.Program, fuel int64, rep *Report) {
 	for _, pair := range specIdentityPairs() {
 		mt, _, err := pipeline.Simulate(pair.typed, prog, fuel)

@@ -13,7 +13,7 @@ import (
 // over every embedded benchmark: the registry-spec forms of the paper
 // mechanisms must be metric-identical to the typed forms, and the stride
 // and pcax assist mechanisms must hold every invariant (lockstep,
-// transparency, counter algebra, steering, streaming, memo matrix).
+// transparency, counter algebra, steering, streaming).
 func TestMechEquivalenceWorkloads(t *testing.T) {
 	fuel := int64(100_000)
 	for _, w := range workload.All() {
@@ -37,9 +37,8 @@ func TestMechEquivalenceWorkloads(t *testing.T) {
 // TestMechEquivalenceRandomPrograms sweeps the mechanism suite over 200
 // seeded random programs (50 under -short). The generator covers ISA
 // corners the workloads miss — calls, every load width, reg+reg addressing
-// — so an assist mechanism whose memo snapshot under-captures state, or
-// whose training order diverges between chunked and whole-trace replays,
-// shows up here first.
+// — so an assist mechanism whose training order diverges between chunked
+// and whole-trace replays shows up here first.
 func TestMechEquivalenceRandomPrograms(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {

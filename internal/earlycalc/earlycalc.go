@@ -196,45 +196,6 @@ func (c *Cache) Invalidate(reg isa.Reg) {
 	}
 }
 
-// ---- replay fast-path hooks -------------------------------------------
-
-// EntrySnap is the exported view of one register-cache entry for the
-// block-timing memoizer in package pipeline. LRU is the raw use stamp.
-type EntrySnap struct {
-	Used  bool
-	Reg   isa.Reg
-	Value int64
-	Valid bool
-	LRU   int64
-}
-
-// Stamp returns the current LRU use stamp.
-func (c *Cache) Stamp() int64 { return c.stamp }
-
-// AddStamp advances the LRU use stamp by d, replaying the stamp increments
-// of a memoized block without re-running its lookups and bindings.
-func (c *Cache) AddStamp(d int64) { c.stamp += d }
-
-// AddStats adds a delta onto the accumulated statistics.
-func (c *Cache) AddStats(d Stats) {
-	c.stats.Lookups += d.Lookups
-	c.stats.Hits += d.Hits
-	c.stats.Binds += d.Binds
-}
-
-// Snap appends a snapshot of every entry to dst and returns it.
-func (c *Cache) Snap(dst []EntrySnap) []EntrySnap {
-	for _, e := range c.entries {
-		dst = append(dst, EntrySnap{Used: e.used, Reg: e.reg, Value: e.value, Valid: e.valid, LRU: e.lru})
-	}
-	return dst
-}
-
-// PutEntry overwrites entry i with the given snapshot.
-func (c *Cache) PutEntry(i int, s EntrySnap) {
-	c.entries[i] = entry{used: s.Used, reg: s.Reg, value: s.Value, valid: s.Valid, lru: s.LRU}
-}
-
 // Reset clears all entries and statistics.
 func (c *Cache) Reset() {
 	for i := range c.entries {

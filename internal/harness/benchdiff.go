@@ -166,16 +166,13 @@ func BenchDiff(oldRaw, newRaw []byte, oldPath, newPath string, threshold float64
 }
 
 // replayMetrics are the gated metrics of a replay bench entry. MInstPerSec
-// is throughput (higher is better); the rest are costs. MemoHitRate is
-// gated too: replay is deterministic, so a hit-rate drop is a memo-policy
-// or fingerprint regression, not machine noise.
+// is throughput (higher is better); the rest are costs.
 var replayMetrics = []benchMetric{
 	{"ns_per_op", false, func(v any) float64 { return float64(v.(ReplayBenchResult).NsPerOp) }},
 	{"allocs_per_op", false, func(v any) float64 { return float64(v.(ReplayBenchResult).AllocsPerOp) }},
 	{"bytes_per_op", false, func(v any) float64 { return float64(v.(ReplayBenchResult).BytesPerOp) }},
 	{"minst_per_sec", true, func(v any) float64 { return v.(ReplayBenchResult).MInstPerSec }},
 	{"peak_bytes", false, func(v any) float64 { return float64(v.(ReplayBenchResult).PeakBytes) }},
-	{"memo_hit_rate", true, func(v any) float64 { return v.(ReplayBenchResult).MemoHitRate }},
 }
 
 func diffReplay(oldRaw, newRaw []byte, oldPath, newPath string, threshold float64) (*DiffReport, error) {

@@ -136,7 +136,7 @@ func TestForEachLabFirstErrorNoLeak(t *testing.T) {
 
 // TestGridCancelRerunDeterminism is the cancellation-determinism contract:
 // cancel a grid mid-run, then re-run it to completion on the same Runner
-// (same lab cache, same memoized state) — the output must be byte-identical
+// (same lab cache, same cached base cycles) — the output must be byte-identical
 // to a run that never saw a cancellation, at every parallelism level.
 func TestGridCancelRerunDeterminism(t *testing.T) {
 	ref := &Runner{Fuel: cancelFuel}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"elag/internal/mech"
-	"elag/internal/pipeline"
 )
 
 // Counters aggregates the harness's work volume for an external metrics
@@ -30,18 +29,6 @@ type Counters struct {
 	Chunks atomic.Int64
 	Insts  atomic.Int64
 
-	// MemoHits / MemoMisses / MemoBlockEntries aggregate the block-timing
-	// memoizer's counters across every finished simulation. The invariant
-	// MemoHits + MemoMisses == MemoBlockEntries holds at every scrape:
-	// all three are added from one MemoStats snapshot in one call.
-	MemoHits         atomic.Int64
-	MemoMisses       atomic.Int64
-	MemoBlockEntries atomic.Int64
-	// KernelLevel is the highest replay-kernel variant observed (see
-	// pipeline.Sim.KernelID): 0 generic, 1 specialized dispatch, 2
-	// specialized plus fused direct-mapped cache leaves.
-	KernelLevel atomic.Int64
-
 	// mechMu guards lazy creation of per-kind rows in mechRows; the rows
 	// themselves are atomics, so folding and scraping never hold the lock
 	// while reading values. Keyed by mechanism kind ("stride", "pcax", …).
@@ -51,32 +38,16 @@ type Counters struct {
 
 // MechCounts aggregates one mechanism kind's mech.Stats across every
 // finished simulation that used it. The Stats algebra carries over to the
-// aggregate: Lookups == Hits + Misses and Allocs <= Trains hold at every
-// scrape, because each simulation's snapshot is folded in one CountMech
-// call field-by-field from a self-consistent mech.Stats.
+// aggregate: Lookups == Hits + Misses and Allocs <= Trains hold whenever no
+// fold is in flight, because each simulation's self-consistent mech.Stats
+// is folded in one CountMech call. The fold is field by field, so a reader
+// racing it can see the algebra momentarily broken.
 type MechCounts struct {
 	Lookups atomic.Int64
 	Hits    atomic.Int64
 	Misses  atomic.Int64
 	Trains  atomic.Int64
 	Allocs  atomic.Int64
-}
-
-// CountMemo folds one simulation's memo counters and kernel selection into
-// the aggregate. nil-safe. Called once per finished Sim, off the hot path.
-func (c *Counters) CountMemo(st pipeline.MemoStats) {
-	if c == nil {
-		return
-	}
-	c.MemoHits.Add(st.Hits)
-	c.MemoMisses.Add(st.Misses)
-	c.MemoBlockEntries.Add(st.BlockEntries)
-	for {
-		cur := c.KernelLevel.Load()
-		if int64(st.Kernel) <= cur || c.KernelLevel.CompareAndSwap(cur, int64(st.Kernel)) {
-			return
-		}
-	}
 }
 
 // CountChunk records one replayed chunk of n entries. nil-safe.

@@ -13,7 +13,6 @@ import (
 
 	"elag/internal/addrpred"
 	"elag/internal/earlycalc"
-	"elag/internal/isa"
 )
 
 func init() {
@@ -48,8 +47,7 @@ func validateEarlycalc(s Spec) error {
 	return RegCacheConfig(s).Validate()
 }
 
-// predAdapter wraps addrpred.Table as a Mechanism. Snapshots round-trip the
-// complete Figure-3 entry state via addrpred's Pack/UnpackEntry.
+// predAdapter wraps addrpred.Table as a Mechanism.
 type predAdapter struct {
 	t  *addrpred.Table
 	st Stats
@@ -95,26 +93,7 @@ func (a *predAdapter) Train(pc, ea int64) {
 	}
 }
 
-func (a *predAdapter) Stats() Stats     { return a.st }
-func (a *predAdapter) AddStats(d Stats) { a.st.Add(d) }
-func (a *predAdapter) Sets() int        { return int(a.t.SetIndexOf(-1) + 1) }
-func (a *predAdapter) Assoc() int       { return a.t.Assoc() }
-func (a *predAdapter) SetIndexOf(pc int64) int {
-	return int(a.t.SetIndexOf(int(pc)))
-}
-func (a *predAdapter) Stamp() int64     { return a.t.Stamp() }
-func (a *predAdapter) AddStamp(d int64) { a.t.AddStamp(d) }
-
-func (a *predAdapter) SnapSet(set int, dst []EntrySnap) []EntrySnap {
-	for _, s := range a.t.SnapSet(int64(set), nil) {
-		dst = append(dst, EntrySnap{Tag: s.Tag, LRU: s.LRU, V: s.E.Pack()})
-	}
-	return dst
-}
-
-func (a *predAdapter) PutEntry(set, way int, s EntrySnap) {
-	a.t.PutEntry(int64(set), way, addrpred.EntrySnap{Tag: s.Tag, LRU: s.LRU, E: addrpred.UnpackEntry(s.V)})
-}
+func (a *predAdapter) Stats() Stats { return a.st }
 
 func (a *predAdapter) SetObserver(f func(Event)) { a.ob = f }
 func (a *predAdapter) HasObserver() bool         { return a.ob != nil }
@@ -122,8 +101,8 @@ func (a *predAdapter) HasObserver() bool         { return a.ob != nil }
 // rcAdapter wraps earlycalc.Cache as a Mechanism. The register cache does
 // not predict through a PC-indexed probe — its pipeline path is the
 // dedicated R_addr machinery — so Lookup always misses and Train is a
-// no-op; the adapter's value is the snapshot/stats/observer surface and
-// registry presence.
+// no-op; the adapter's value is the stats/observer surface and registry
+// presence.
 type rcAdapter struct {
 	c  *earlycalc.Cache
 	ob func(Event)
@@ -144,36 +123,6 @@ func (a *rcAdapter) Train(pc, ea int64)            {}
 func (a *rcAdapter) Stats() Stats {
 	s := a.c.Stats()
 	return Stats{Lookups: s.Lookups, Hits: s.Hits, Misses: s.Lookups - s.Hits, Trains: s.Binds}
-}
-
-func (a *rcAdapter) AddStats(d Stats) {
-	a.c.AddStats(earlycalc.Stats{Lookups: d.Lookups, Hits: d.Hits, Binds: d.Trains})
-}
-
-func (a *rcAdapter) Sets() int               { return 1 }
-func (a *rcAdapter) Assoc() int              { return a.c.Size() }
-func (a *rcAdapter) SetIndexOf(pc int64) int { return 0 }
-func (a *rcAdapter) Stamp() int64            { return a.c.Stamp() }
-func (a *rcAdapter) AddStamp(d int64)        { a.c.AddStamp(d) }
-
-func (a *rcAdapter) SnapSet(set int, dst []EntrySnap) []EntrySnap {
-	for _, s := range a.c.Snap(nil) {
-		var used, valid int64
-		if s.Used {
-			used = 1
-		}
-		if s.Valid {
-			valid = 1
-		}
-		dst = append(dst, EntrySnap{Tag: int64(s.Reg), LRU: s.LRU, V: [4]int64{s.Value, used, valid, 0}})
-	}
-	return dst
-}
-
-func (a *rcAdapter) PutEntry(set, way int, s EntrySnap) {
-	a.c.PutEntry(way, earlycalc.EntrySnap{
-		Used: s.V[1] != 0, Reg: isa.Reg(s.Tag), Value: s.V[0], Valid: s.V[2] != 0, LRU: s.LRU,
-	})
 }
 
 func (a *rcAdapter) SetObserver(f func(Event)) {

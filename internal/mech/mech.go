@@ -3,31 +3,25 @@
 // The paper evaluates exactly three early-address flavours — no table, the
 // PC-indexed address-prediction table (addrpred) and the compiler-directed
 // addressing-register cache (earlycalc) — and the original simulator named
-// those two packages concretely in its configuration, kernels, memo layer
-// and exporters. This package turns the seam into a registry so a fourth
-// mechanism is one self-contained unit under internal/mech/... plus a spec
-// string, not surgery on every layer:
+// those two packages concretely in its configuration and exporters. This
+// package turns the seam into a registry so a fourth mechanism is one
+// self-contained unit under internal/mech/... plus a spec string, not
+// surgery on every layer:
 //
 //   - Spec names a mechanism by registry kind plus geometry and has a
 //     stable string form ("stride:64", "pcax:256x4") shared by the CLI
 //     flags, the serve job API and the harness series definitions.
 //   - Mechanism is the contract the pipeline drives: a PC-indexed
-//     lookup/train pair for the assist path, a stats surface, observer
-//     hooks for the event stream, and the snapshot machinery
-//     (Stamp/SnapSet/PutEntry with rank-comparable EntrySnaps) that the
-//     block-timing memo layer needs to guard and patch mechanism state.
+//     lookup/train pair for the assist path, a stats surface, and observer
+//     hooks for the event stream. That is all a new mechanism implements.
 //   - The registry (Register/New/Validate/Kinds/Describe) is populated at
 //     init time: the two paper mechanisms register in this package (see
 //     adapt.go), new mechanisms self-register from their own package and
 //     are linked in via the blank-import package internal/mech/all.
 //
-// Memo-snapshot contract (what a new mechanism must guarantee): SnapSet
-// must capture everything Lookup/Train consult, PutEntry must restore it
-// exactly, and recency must be expressed through EntrySnap.LRU values drawn
-// from the single counter exposed by Stamp/AddStamp so the memo layer can
-// rebase them — two states whose sets are equal modulo a uniform stamp
-// shift (same tags, same payloads, same pairwise LRU order) must behave
-// identically. See DESIGN.md §17.
+// A mechanism must be deterministic (same Lookup/Train sequence, same
+// answers and counters) and must keep the Stats algebra below. See
+// DESIGN.md §17.
 package mech
 
 import (
@@ -105,38 +99,6 @@ type Stats struct {
 	Allocs int64 `json:"allocs"`
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Lookups += o.Lookups
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Trains += o.Trains
-	s.Allocs += o.Allocs
-}
-
-// Sub returns s - o, the delta form the memo layer records and replays.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Lookups: s.Lookups - o.Lookups,
-		Hits:    s.Hits - o.Hits,
-		Misses:  s.Misses - o.Misses,
-		Trains:  s.Trains - o.Trains,
-		Allocs:  s.Allocs - o.Allocs,
-	}
-}
-
-// EntrySnap is one entry of one set, in a mechanism-neutral shape the memo
-// layer can guard and patch. Tag and V are compared exactly; LRU is
-// compared by pairwise rank within the set (and rebased by the stamp
-// counter when recorded and replayed). V's meaning is private to the
-// mechanism — the memo layer only requires that equal snaps imply equal
-// future behaviour.
-type EntrySnap struct {
-	Tag int64
-	LRU int64
-	V   [4]int64
-}
-
 // EventOp discriminates observer events.
 type EventOp uint8
 
@@ -159,8 +121,8 @@ type Event struct {
 
 // Mechanism is the contract a load-acceleration mechanism implements. The
 // pipeline drives Lookup at decode/speculation time and Train at the MEM
-// stage of every retiring load; the memo layer drives the snapshot surface;
-// the event stream attaches through the observer hooks.
+// stage of every retiring load; the event stream attaches through the
+// observer hooks.
 type Mechanism interface {
 	// Kind returns the registry kind this instance was built from.
 	Kind() string
@@ -172,29 +134,11 @@ type Mechanism interface {
 	// Train observes a retiring load: PC pc accessed effective address ea.
 	Train(pc, ea int64)
 
-	// Stats returns the cumulative counters; AddStats merges a recorded
-	// delta (the memo layer's replay path).
+	// Stats returns the cumulative counters.
 	Stats() Stats
-	AddStats(Stats)
-
-	// Sets, Assoc and SetIndexOf describe the geometry the memo layer
-	// snapshots set-by-set.
-	Sets() int
-	Assoc() int
-	SetIndexOf(pc int64) int
-	// Stamp exposes the recency counter behind EntrySnap.LRU; AddStamp
-	// advances it by a recorded delta on memo replay. Mechanisms without
-	// recency state return 0 and ignore AddStamp.
-	Stamp() int64
-	AddStamp(int64)
-	// SnapSet appends set's entries (way order) to dst; PutEntry restores
-	// one way exactly as snapped.
-	SnapSet(set int, dst []EntrySnap) []EntrySnap
-	PutEntry(set, way int, snap EntrySnap)
 
 	// SetObserver attaches (or with nil detaches) an event observer;
-	// HasObserver reports whether one is attached (the replay fast paths
-	// and the memo layer disable themselves while observed).
+	// HasObserver reports whether one is attached.
 	SetObserver(func(Event))
 	HasObserver() bool
 }

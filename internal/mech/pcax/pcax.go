@@ -160,46 +160,6 @@ func (a *Assist) Train(pc, ea int64) {
 // Stats returns the accumulated counters.
 func (a *Assist) Stats() mech.Stats { return a.stats }
 
-// AddStats merges a recorded delta (memo replay).
-func (a *Assist) AddStats(d mech.Stats) { a.stats.Add(d) }
-
-// Sets returns the set count.
-func (a *Assist) Sets() int { return len(a.sets) }
-
-// Assoc returns the ways per set.
-func (a *Assist) Assoc() int {
-	if len(a.sets) == 0 {
-		return 0
-	}
-	return len(a.sets[0])
-}
-
-// SetIndexOf returns the set pc maps to.
-func (a *Assist) SetIndexOf(pc int64) int { return int(pc & a.mask) }
-
-// Stamp returns the current LRU use stamp.
-func (a *Assist) Stamp() int64 { return a.stamp }
-
-// AddStamp advances the use stamp by a recorded delta (memo replay).
-func (a *Assist) AddStamp(d int64) { a.stamp += d }
-
-// SnapSet appends the set's ways in way order: V = [last, d1, d2, valid].
-func (a *Assist) SnapSet(set int, dst []mech.EntrySnap) []mech.EntrySnap {
-	for _, e := range a.sets[set] {
-		var valid int64
-		if e.valid {
-			valid = 1
-		}
-		dst = append(dst, mech.EntrySnap{Tag: e.tag, LRU: e.lru, V: [4]int64{e.last, e.d1, e.d2, valid}})
-	}
-	return dst
-}
-
-// PutEntry restores one way exactly as snapped.
-func (a *Assist) PutEntry(set, way int, s mech.EntrySnap) {
-	a.sets[set][way] = entry{valid: s.V[3] != 0, tag: s.Tag, last: s.V[0], d1: s.V[1], d2: s.V[2], lru: s.LRU}
-}
-
 // SetObserver attaches (nil detaches) an event observer.
 func (a *Assist) SetObserver(f func(mech.Event)) { a.ob = f }
 

@@ -86,9 +86,6 @@ func TestObservationDoesNotPerturbTiming(t *testing.T) {
 
 	a, b := *mPlain, *mObs
 	b.PerPC = nil // the attribution table is the one permitted difference
-	// Memo describes the simulator, not the machine: an attached sink
-	// disables memoization, so the counters legitimately differ.
-	a.Memo, b.Memo = MemoStats{}, MemoStats{}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("observation changed the timing result:\nplain:    %+v\nobserved: %+v", a, b)
 	}

@@ -74,13 +74,6 @@ type Metrics struct {
 	// was called before the run). Summing any PathStats field across rows
 	// reproduces the corresponding Predict/Early counter above exactly.
 	PerPC []LoadPCStats
-
-	// Memo reports the block-timing memoizer's behaviour for this Sim. It
-	// describes the simulator, not the simulated machine, so it is
-	// excluded from serialized artifacts: memoization on and off produce
-	// byte-identical artifact JSON. Equality checks over Metrics must
-	// normalize this field (see diffcheck).
-	Memo MemoStats `json:"-"`
 }
 
 // IPC returns retired instructions per cycle.
