@@ -106,16 +106,6 @@ type Config struct {
 	Mechanisms []mech.Spec
 }
 
-// assistSpec returns the configured non-paper mechanism spec, if any.
-func (c *Config) assistSpec() (mech.Spec, bool) {
-	for _, sp := range c.Mechanisms {
-		if sp.Kind != "addrpred" && sp.Kind != "earlycalc" {
-			return sp, true
-		}
-	}
-	return mech.Spec{}, false
-}
-
 // PaperBase returns the base architecture configuration without early
 // address generation.
 func PaperBase() Config { return Config{} }

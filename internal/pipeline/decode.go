@@ -27,28 +27,11 @@ const (
 	mfFLoad
 )
 
-// Early-address-generation path selectors (instMeta.spath): the
-// Select/flavor/component-presence decision tree of Sim.speculate, resolved
-// per PC at construction so the hot load path dispatches on one byte.
-// spHWDual keeps a runtime arm (its steering depends on the scoreboard);
-// spGeneric routes through the unspecialized speculate and is what
-// SetNoSpecialize rewrites every load to.
-const (
-	spNone uint8 = iota
-	spPredict
-	spEarlyDirected
-	spEarly
-	spHWDual
-	spAssist
-	spGeneric
-)
-
 // instMeta is the per-static-instruction decode cache.
 type instMeta struct {
 	flags    uint8
 	fu       uint8          // functional unit gating issue (fuNone..fuBr)
 	flavor   isa.LoadFlavor // overlay-resolved load flavour (loads only)
-	spath    uint8          // resolved speculation path (spNone..spGeneric, loads only)
 	nInt     uint8          // integer source registers in intRegs[:nInt]
 	intRegs  [3]isa.Reg
 	fpA, fpB uint8 // FP source registers + 1 (0 = none)
@@ -62,45 +45,6 @@ func (m *instMeta) isStore() bool  { return m.flags&mfStore != 0 }
 func (m *instMeta) isBranch() bool { return m.flags&mfBranch != 0 }
 func (m *instMeta) isFLoad() bool  { return m.flags&mfFLoad != 0 }
 
-// resolveSPath folds Sim.speculate's dispatch tree for one load: the
-// selection policy, the (overlay-resolved) flavour, and whether the
-// predictor table / register cache exist are all construction-time
-// constants. Only HWDual steering remains a runtime decision.
-func resolveSPath(cfg *Config, flavor isa.LoadFlavor) uint8 {
-	// An assist mechanism (validated mutually exclusive with the paper
-	// structures) drives every load regardless of flavour or selection
-	// policy: registry mechanisms model flavour-blind hardware baselines.
-	if _, ok := cfg.assistSpec(); ok {
-		return spAssist
-	}
-	hasTable := cfg.Predictor != nil
-	hasRC := cfg.RegCache != nil
-	switch cfg.Select {
-	case SelCompiler:
-		switch flavor {
-		case isa.LdP:
-			if hasTable {
-				return spPredict
-			}
-		case isa.LdE:
-			if hasRC {
-				return spEarlyDirected
-			}
-		}
-	case SelAllPredict:
-		if hasTable {
-			return spPredict
-		}
-	case SelAllEarly:
-		if hasRC {
-			return spEarly
-		}
-	case SelHWDual:
-		return spHWDual
-	}
-	return spNone
-}
-
 // buildMeta decodes prog under cfg (for latencies) and flavors (nil = the
 // flavours baked into the instruction stream).
 func buildMeta(prog *isa.Program, cfg *Config, flavors isa.FlavorOverlay) []instMeta {
@@ -112,7 +56,6 @@ func buildMeta(prog *isa.Program, cfg *Config, flavors isa.FlavorOverlay) []inst
 		if in.IsLoad() {
 			md.flags |= mfLoad
 			md.flavor = flavors.At(pc, in.Flavor)
-			md.spath = resolveSPath(cfg, md.flavor)
 		}
 		if in.IsStore() {
 			md.flags |= mfStore
