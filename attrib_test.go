@@ -2,6 +2,7 @@ package elag_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -14,6 +15,16 @@ import (
 // attribFuel keeps the per-workload runs fast while still executing every
 // benchmark's hot loops.
 const attribFuel = 300_000
+
+// observe simulates p under one observed batch spec and returns its metrics.
+func observe(t *testing.T, p *elag.Program, spec elag.BatchSpec, fuel int64, chunk int) (*elag.Metrics, elag.RunResult) {
+	t.Helper()
+	ms, res, err := p.SimulateBatchContext(context.Background(), []elag.BatchSpec{spec}, fuel, chunk)
+	if err != nil {
+		t.Fatalf("chunk=%d: simulate: %v", chunk, err)
+	}
+	return ms[0], res
+}
 
 func sumPath(rows []elag.LoadPCStats, early bool) elag.PathStats {
 	var sum elag.PathStats
@@ -32,7 +43,7 @@ func sumPath(rows []elag.LoadPCStats, early bool) elag.PathStats {
 }
 
 // TestPerPCAttributionSumsOnWorkloads asserts the counter algebra on every
-// workload: the per-PC table returned by SimulateObserved must sum exactly
+// workload: the per-PC table of a PerPC batch spec must sum exactly
 // to the global Predict/Early counters, load count and latency sum.
 func TestPerPCAttributionSumsOnWorkloads(t *testing.T) {
 	for _, w := range workload.All() {
@@ -43,11 +54,8 @@ func TestPerPCAttributionSumsOnWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			m, _, err := p.SimulateObserved(elag.CompilerDirectedConfig(),
-				attribFuel, elag.ObserveOptions{PerPC: true})
-			if err != nil {
-				t.Fatalf("simulate: %v", err)
-			}
+			m, _ := observe(t, p, elag.BatchSpec{Config: elag.CompilerDirectedConfig(), PerPC: true},
+				attribFuel, 0)
 			if got := sumPath(m.PerPC, false); got != m.Predict {
 				t.Errorf("predict sum %+v != global %+v", got, m.Predict)
 			}
@@ -77,11 +85,8 @@ func TestObservedExporters(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	rec := &elag.TraceRecorder{Limit: 10_000}
-	m, _, err := p.SimulateObserved(elag.CompilerDirectedConfig(), attribFuel,
-		elag.ObserveOptions{Sink: rec, PerPC: true})
-	if err != nil {
-		t.Fatalf("simulate: %v", err)
-	}
+	m, _ := observe(t, p, elag.BatchSpec{Config: elag.CompilerDirectedConfig(), Sink: rec, PerPC: true},
+		attribFuel, 0)
 	if rec.Total == 0 || len(rec.Events) == 0 {
 		t.Fatalf("no events recorded (total %d)", rec.Total)
 	}

@@ -8,8 +8,8 @@
 //	-exp name     table2|table3|table4|fig5a|fig5b|fig5c|embedded|figmech|all
 //	              (default all; figmech — the mechanism-layer extension
 //	              figure — runs only when named explicitly)
-//	-fuel N       per-benchmark dynamic instruction budget (0 = run programs
-//	              to completion, the default used for reported results)
+//	-fuel N       per-benchmark dynamic instruction budget (0 = the 200M
+//	              default, used for reported results)
 //	-q            suppress progress logging
 //	-csv dir      write every artifact as CSV into dir (for plotting)
 //	-json file    write every artifact as one schema-versioned JSON document
@@ -19,9 +19,6 @@
 //	-chunk N      stream traces in N-entry chunks instead of materializing
 //	              them (peak trace memory O(N) per worker; artifacts are
 //	              byte-identical at every setting)
-//	-nobatch      replay each grid cell in its own pass instead of batching
-//	              all configurations through one pass (for wall-time A/B;
-//	              artifacts are byte-identical either way)
 //	-cache-dir d  reuse per-row grid results from a content-addressed store
 //	              (default $ELAG_CACHE_DIR; the same store elag-serve and
 //	              elag-sim share, so a prior run — any tool's — skips rows)
@@ -69,7 +66,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "table2|table3|table4|fig5a|fig5b|fig5c|embedded|figmech|all")
-	fuel := flag.Int64("fuel", 0, "per-benchmark instruction budget (0 = unlimited)")
+	fuel := flag.Int64("fuel", 0, "per-benchmark instruction budget (0 = the 200M default)")
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	csvDir := flag.String("csv", "", "also write CSVs for every artifact into this directory")
 	jsonPath := flag.String("json", "", `write all artifacts as one JSON document to this file ("-" = stdout)`)
@@ -78,7 +75,6 @@ func main() {
 	servePath := flag.String("servebench", "", `run the service-path cache benchmark, write JSON to this file ("-" = stdout)`)
 	cacheOpts := cli.CacheFlags()
 	reps := flag.Int("reps", 5, "repetitions per workload for -compilebench (fastest wins)")
-	noBatch := flag.Bool("nobatch", false, "replay each grid cell in its own pass (disables batched replay)")
 	diff := flag.Bool("diff", false, "compare two bench JSON documents: elag-bench -diff old.json new.json")
 	diffThreshold := flag.Float64("diff-threshold", 0.15, "relative regression bound for -diff (0.15 = 15%)")
 	perf := cli.PerfFlags()
@@ -112,7 +108,7 @@ func main() {
 		logw = nil
 	}
 	r := &harness.Runner{Fuel: *fuel, Log: logw, Parallel: perf.Parallel,
-		ChunkSize: perf.Chunk, NoBatch: *noBatch,
+		ChunkSize: perf.Chunk,
 		Artifacts: cacheOpts.Open("elag-bench")}
 
 	if *servePath != "" {

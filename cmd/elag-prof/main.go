@@ -6,7 +6,7 @@
 //
 //	elag-prof [flags] file.{mc,s,bin} | workload:NAME
 //
-//	-fuel N        dynamic instruction budget (0 = unlimited)
+//	-fuel N        dynamic instruction budget (0 = the 200M default)
 //	-threshold F   promotion threshold (default 0.60)
 //	-all           list every load, not just the reclassified ones
 //	-parallel N    GOMAXPROCS for the run
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fuel := flag.Int64("fuel", 0, "dynamic instruction budget")
+	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
 	threshold := flag.Float64("threshold", 0.60, "NT->PD promotion threshold")
 	all := flag.Bool("all", false, "list every load")
 	perf := cli.PerfFlags()

@@ -15,7 +15,7 @@
 //	               -mech is given)
 //	-help-mechanisms
 //	               list the registered mechanism kinds and exit
-//	-fuel N        dynamic instruction budget (0 = unlimited)
+//	-fuel N        dynamic instruction budget (0 = the 200M default)
 //	-profile       also apply profile-guided reclassification first
 //	-v             print the full metrics summary (paths, failure terms)
 //	-pipeview N    render the first N instructions' stage timeline
@@ -52,7 +52,7 @@ func main() {
 	regs := flag.Int("regs", 0, "early-calculation registers (0 = mode default)")
 	mechSpec := flag.String("mech", "", "attach a load-acceleration mechanism (kind[:entries[xassoc]], e.g. stride:256); implies -config base")
 	helpMechs := flag.Bool("help-mechanisms", false, "list the registered mechanism kinds and exit")
-	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = unlimited)")
+	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
 	useProfile := flag.Bool("profile", false, "apply profile-guided reclassification")
 	verbose := flag.Bool("v", false, "print the full metrics summary")
 	pipeview := flag.Int("pipeview", 0, "render the first N instructions' pipeline stages")

@@ -13,7 +13,7 @@
 //	-config name   base | compiler | hw-pred | hw-early | hw-dual
 //	-table N       prediction table entries (default 256)
 //	-regs N        early-calculation registers (0 = mode default)
-//	-fuel N        dynamic instruction budget (0 = unlimited)
+//	-fuel N        dynamic instruction budget (0 = the 200M default)
 //	-from/-to N    record only events in the cycle window [from, to]
 //	-limit N       cap recorded events (default 1e6; 0 = unlimited)
 //	-o dir         output directory (default trace-out)
@@ -39,7 +39,7 @@ func main() {
 	config := flag.String("config", "compiler", cli.ConfigNames)
 	table := flag.Int("table", 256, "prediction table entries")
 	regs := flag.Int("regs", 0, "early-calculation registers (0 = mode default)")
-	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = unlimited)")
+	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
 	from := flag.Int64("from", 0, "first cycle of the recorded window")
 	to := flag.Int64("to", 0, "last cycle of the recorded window (0 = unbounded)")
 	limit := flag.Int("limit", 1_000_000, "max recorded events (0 = unlimited)")
@@ -66,12 +66,13 @@ func main() {
 	}
 
 	rec := &elag.TraceRecorder{FromCycle: *from, ToCycle: *to, Limit: *limit}
-	m, _, err := p.SimulateObservedContext(ctx, cfg, *fuel,
-		elag.ObserveOptions{Sink: rec, PerPC: true, ChunkSize: perf.Chunk})
+	ms, _, err := p.SimulateBatchContext(ctx,
+		[]elag.BatchSpec{{Config: cfg, Sink: rec, PerPC: true}}, *fuel, perf.Chunk)
 	if err != nil {
 		perf.CheckContext(err)
 		cli.Fatal("elag-trace", fmt.Errorf("simulate %s: %w", *config, err))
 	}
+	m := ms[0]
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		cli.Fatal("elag-trace", fmt.Errorf("create %s: %w", *outDir, err))

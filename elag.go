@@ -115,7 +115,7 @@ type (
 	// failed Build.
 	SourceError = mcc.Error
 
-	// Observability surface (see SimulateObserved). Event is one
+	// Observability surface (see BatchSpec.Sink). Event is one
 	// cycle-level occurrence in the timing model; EventSink receives the
 	// stream; FailMask is the Section 3.2 failure-term bitmask carried by
 	// speculation-failure events.
@@ -140,8 +140,8 @@ type (
 	// run's metrics (see NewMetricsDoc / WriteMetricsJSON).
 	MetricsDoc = obs.MetricsDoc
 	// BatchSpec is one configuration cell of a batched replay (see
-	// SimulateBatch): a simulator configuration plus an optional flavour
-	// overlay.
+	// SimulateBatchContext): a simulator configuration plus an optional
+	// flavour overlay, event sink and per-PC attribution switch.
 	BatchSpec = pipeline.BatchSpec
 )
 
@@ -452,118 +452,29 @@ func (p *Program) Run(fuel int64) (RunResult, error) {
 }
 
 // Simulate runs the timing model under cfg and returns its metrics along
-// with the architectural results.
+// with the architectural results. It is a batch of one through
+// SimulateBatchContext: the trace is streamed in DefaultChunkSize chunks,
+// never materialized. fuel bounds emulated instructions (<= 0 for the
+// default of 200M); a fuel-truncated run is still timed.
 func (p *Program) Simulate(cfg SimConfig, fuel int64) (*Metrics, RunResult, error) {
-	return pipeline.Simulate(cfg, p.Machine, fuel)
-}
-
-// SimulateStream is Simulate with bounded memory: the dynamic trace is
-// streamed through the timing model in chunkSize-entry chunks (<= 0 for
-// DefaultChunkSize) instead of materialized, so peak trace memory is
-// O(chunkSize) regardless of fuel. Metrics are bit-identical to Simulate.
-func (p *Program) SimulateStream(cfg SimConfig, fuel int64, chunkSize int) (*Metrics, RunResult, error) {
-	return pipeline.SimulateStream(cfg, p.Machine, fuel, chunkSize)
-}
-
-// SimulateStreamContext is SimulateStream with cooperative cancellation:
-// ctx is checked between trace chunks, so the simulation honors deadlines
-// and cancellation within one chunk of work. An uncancelled run is
-// byte-identical to SimulateStream.
-func (p *Program) SimulateStreamContext(ctx context.Context, cfg SimConfig, fuel int64, chunkSize int) (*Metrics, RunResult, error) {
-	return pipeline.SimulateStreamContext(ctx, cfg, p.Machine, fuel, chunkSize)
-}
-
-// SimulateBatch emulates the program once and replays its trace under
-// every spec in a single streamed pass (see pipeline.BatchReplay): one
-// architectural execution amortized over N configurations, each chunk
-// cache-hot across all of them. Metrics are returned in spec order and are
-// bit-identical to N independent Simulate calls.
-func (p *Program) SimulateBatch(specs []BatchSpec, fuel int64, chunkSize int) ([]*Metrics, RunResult, error) {
-	return pipeline.BatchReplay(p.Machine, fuel, chunkSize, specs)
-}
-
-// SimulateBatchContext is SimulateBatch with cooperative cancellation: ctx
-// is checked between chunks of the streamed architectural execution, so a
-// batch over a pathological program aborts within one chunk of ctx being
-// cancelled. Uncancelled results are byte-identical to SimulateBatch.
-func (p *Program) SimulateBatchContext(ctx context.Context, specs []BatchSpec, fuel int64, chunkSize int) ([]*Metrics, RunResult, error) {
-	return pipeline.BatchReplayContext(ctx, p.Machine, fuel, chunkSize, specs)
-}
-
-// SimulateBatchObservedContext is SimulateBatchContext with a
-// chunk-boundary progress hook: onChunk (may be nil) is called after each
-// replayed chunk with the cumulative entry count and the chunk's size.
-// The hook runs strictly between chunks and never touches simulator
-// state, so results are byte-identical with or without it — it exists for
-// live progress reporting (elag-serve's job event streams), not for
-// measurement.
-func (p *Program) SimulateBatchObservedContext(ctx context.Context, specs []BatchSpec, fuel int64, chunkSize int, onChunk func(done int64, n int)) ([]*Metrics, RunResult, error) {
-	return pipeline.BatchReplayObservedContext(ctx, p.Machine, fuel, chunkSize, specs, onChunk)
-}
-
-// ObserveOptions configures SimulateObserved. The zero value observes
-// nothing (equivalent to Simulate).
-type ObserveOptions struct {
-	// Sink, when non-nil, receives the cycle-level event stream (stage
-	// occupancy, speculation launch/forward/fail with failure terms,
-	// R_addr and prediction-table transitions, cache misses, stalls).
-	Sink EventSink
-	// PerPC enables the per-PC load attribution table, returned on
-	// Metrics.PerPC; its rows sum exactly to the global path counters.
-	PerPC bool
-	// Flavors, when non-nil, overrides the program's load flavours for
-	// this simulation only (the program itself is not mutated, so
-	// concurrent simulations with different overlays are safe).
-	Flavors FlavorOverlay
-	// ChunkSize, when > 0, streams the trace through the simulation in
-	// chunks of this many entries instead of materializing it (peak trace
-	// memory O(ChunkSize)); metrics and the event stream are bit-identical
-	// either way.
-	ChunkSize int
-}
-
-// SimulateObserved runs the timing model under cfg with observability
-// attached. Tracing costs nothing when o is zero; with a sink attached the
-// timing result is identical — observation never perturbs the model.
-func (p *Program) SimulateObserved(cfg SimConfig, fuel int64, o ObserveOptions) (*Metrics, RunResult, error) {
-	return p.SimulateObservedContext(context.Background(), cfg, fuel, o)
-}
-
-// SimulateObservedContext is SimulateObserved with cooperative
-// cancellation, checked between trace chunks (streaming mode) or every
-// DefaultChunkSize instructions of the trace run (materialized mode). An
-// uncancelled run is byte-identical to SimulateObserved.
-func (p *Program) SimulateObservedContext(ctx context.Context, cfg SimConfig, fuel int64, o ObserveOptions) (*Metrics, RunResult, error) {
-	sim, err := pipeline.New(cfg, p.Machine, o.Flavors)
+	ms, res, err := p.SimulateBatchContext(context.Background(), []BatchSpec{{Config: cfg}}, fuel, 0)
 	if err != nil {
-		return nil, RunResult{}, err
-	}
-	if o.PerPC {
-		sim.EnablePerPC()
-	}
-	if o.Sink != nil {
-		sim.AttachSink(o.Sink)
-	}
-	if o.ChunkSize > 0 {
-		res, err := emu.StreamTraceContext(ctx, p.Machine, fuel, o.ChunkSize, sim.RunChunk)
-		if err != nil && !errors.Is(err, emu.ErrFuel) {
-			return nil, res, err
-		}
-		return sim.Metrics(), res, nil
-	}
-	// Dry pass sizes the trace columns exactly (emulation is deterministic);
-	// its architectural errors recur identically in the traced pass, but a
-	// ctx cancellation is timing-dependent and must be returned here.
-	dry, derr := emu.RunContext(ctx, p.Machine, fuel)
-	if derr != nil && (errors.Is(derr, context.Canceled) || errors.Is(derr, context.DeadlineExceeded)) {
-		return nil, dry, derr
-	}
-	res, trace, err := emu.RunTraceHintContext(ctx, p.Machine, fuel, dry.DynamicInsts)
-	if err != nil && !errors.Is(err, emu.ErrFuel) {
 		return nil, res, err
 	}
-	m, err := sim.Run(trace)
-	return m, res, err
+	return ms[0], res, nil
+}
+
+// SimulateBatchContext emulates the program once and replays its trace
+// under every spec in a single streamed pass (see pipeline.Replay): one
+// architectural execution amortized over N configurations, each chunk
+// cache-hot across all of them. Trace memory is O(chunkSize) (<= 0 for
+// DefaultChunkSize) regardless of fuel. Metrics are returned in spec order
+// and are bit-identical to N independent Simulate calls at any chunk size;
+// a spec's Sink and PerPC observe its simulation without perturbing it.
+// ctx is checked between chunks, so a batch over a pathological program
+// aborts within one chunk of ctx being cancelled.
+func (p *Program) SimulateBatchContext(ctx context.Context, specs []BatchSpec, fuel int64, chunkSize int) ([]*Metrics, RunResult, error) {
+	return pipeline.Replay(ctx, p.Machine, specs, pipeline.Options{Fuel: fuel, Chunk: chunkSize})
 }
 
 // WriteChromeTrace writes recorded events as Chrome trace_event JSON
@@ -590,7 +501,7 @@ func WritePerPCCSV(w io.Writer, rows []LoadPCStats) error {
 }
 
 // WriteWorstLoads writes an aligned report of the n static loads with the
-// highest total effective latency (requires ObserveOptions.PerPC).
+// highest total effective latency (requires BatchSpec.PerPC).
 func WriteWorstLoads(w io.Writer, m *Metrics, n int) error {
 	return obs.WriteWorstLoads(w, m, n)
 }
@@ -632,17 +543,14 @@ func (p *Program) ApplyProfile(lp *LoadProfile, threshold float64) *Classificati
 }
 
 // Speedup is a convenience helper: it simulates prog under both base and
-// cfg and returns base-cycles / cfg-cycles.
+// cfg in one batch and returns base-cycles / cfg-cycles.
 func Speedup(p *Program, cfg SimConfig, fuel int64) (float64, error) {
-	base, _, err := p.Simulate(BaseConfig(), fuel)
+	ms, _, err := p.SimulateBatchContext(context.Background(),
+		[]BatchSpec{{Config: BaseConfig()}, {Config: cfg}}, fuel, 0)
 	if err != nil {
 		return 0, err
 	}
-	m, _, err := p.Simulate(cfg, fuel)
-	if err != nil {
-		return 0, err
-	}
-	return m.SpeedupOver(base), nil
+	return ms[1].SpeedupOver(ms[0]), nil
 }
 
 // StageView simulates the first n dynamic instructions under cfg and

@@ -25,6 +25,7 @@
 package diffcheck
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -304,7 +305,8 @@ func checkStream(prog *isa.Program, trace *emu.Trace, fuel int64,
 	for i, nc := range configs {
 		specs[i] = pipeline.BatchSpec{Config: nc.Config}
 	}
-	ms, _, err := pipeline.BatchReplay(prog, fuel, chunk, specs)
+	ms, _, err := pipeline.Replay(context.Background(), prog, specs,
+		pipeline.Options{Fuel: fuel, Chunk: chunk})
 	if err != nil {
 		rep.failf("", "stream-batch", "batched replay: %v", err)
 		return

@@ -13,6 +13,7 @@
 package diffcheck
 
 import (
+	"context"
 	"reflect"
 
 	"elag/internal/addrpred"
@@ -116,22 +117,19 @@ func CheckMechEquivalence(prog *isa.Program, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// checkSpecIdentity simulates each typed/spec pair and requires the full
-// Metrics structs to be deeply equal: the normalized configurations are
-// the same machine.
+// checkSpecIdentity simulates each typed/spec pair as one batch of two and
+// requires the full Metrics structs to be deeply equal: the normalized
+// configurations are the same machine.
 func checkSpecIdentity(prog *isa.Program, fuel int64, rep *Report) {
 	for _, pair := range specIdentityPairs() {
-		mt, _, err := pipeline.Simulate(pair.typed, prog, fuel)
+		ms, _, err := pipeline.Replay(context.Background(), prog,
+			[]pipeline.BatchSpec{{Config: pair.typed}, {Config: pair.specd}},
+			pipeline.Options{Fuel: fuel})
 		if err != nil {
-			rep.failf(pair.name, "spec-identity", "typed replay: %v", err)
+			rep.failf(pair.name, "spec-identity", "replay: %v", err)
 			continue
 		}
-		ms, _, err := pipeline.Simulate(pair.specd, prog, fuel)
-		if err != nil {
-			rep.failf(pair.name, "spec-identity", "spec replay: %v", err)
-			continue
-		}
-		if !reflect.DeepEqual(mt, ms) {
+		if mt, ms := ms[0], ms[1]; !reflect.DeepEqual(mt, ms) {
 			rep.failf(pair.name, "spec-identity",
 				"registry-spec metrics differ from typed configuration: %d cycles vs %d",
 				ms.Cycles, mt.Cycles)

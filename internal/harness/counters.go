@@ -1,17 +1,21 @@
 package harness
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"elag/internal/emu"
+	"elag/internal/isa"
 	"elag/internal/mech"
+	"elag/internal/pipeline"
 )
 
 // Counters aggregates the harness's work volume for an external metrics
 // layer (elag-serve's /metrics endpoint). All fields are atomics updated
-// from the replay hot path and the lab cache; a nil *Counters costs one
-// comparison per chunk and nothing else. The counters observe — they
+// between replay chunks and by the lab cache; a nil *Counters costs one
+// comparison per replay and nothing else. The counters observe — they
 // never influence scheduling or results — so a grid run is byte-identical
 // with or without them.
 type Counters struct {
@@ -40,7 +44,7 @@ type Counters struct {
 // finished simulation that used it. The Stats algebra carries over to the
 // aggregate: Lookups == Hits + Misses and Allocs <= Trains hold whenever no
 // fold is in flight, because each simulation's self-consistent mech.Stats
-// is folded in one CountMech call. The fold is field by field, so a reader
+// is folded in one countMech call. The fold is field by field, so a reader
 // racing it can see the algebra momentarily broken.
 type MechCounts struct {
 	Lookups atomic.Int64
@@ -50,20 +54,40 @@ type MechCounts struct {
 	Allocs  atomic.Int64
 }
 
-// CountChunk records one replayed chunk of n entries. nil-safe.
-func (c *Counters) CountChunk(n int) {
+// Replay is pipeline.Replay with the run's work volume folded into c:
+// every replayed chunk is counted before o.OnChunk (if any) sees it, and
+// each finished simulation's mechanism counters are folded per kind. It is
+// the replay call of both harness labs and elag-serve simulate jobs, so
+// the two count work identically. nil-safe: a nil c replays uncounted.
+func (c *Counters) Replay(ctx context.Context, prog *isa.Program, specs []pipeline.BatchSpec, o pipeline.Options) ([]*pipeline.Metrics, emu.Result, error) {
 	if c == nil {
-		return
+		return pipeline.Replay(ctx, prog, specs, o)
 	}
-	c.Chunks.Add(1)
-	c.Insts.Add(int64(n))
+	onChunk := o.OnChunk
+	o.OnChunk = func(done int64, n int) {
+		c.Chunks.Add(1)
+		c.Insts.Add(int64(n))
+		if onChunk != nil {
+			onChunk(done, n)
+		}
+	}
+	ms, res, err := pipeline.Replay(ctx, prog, specs, o)
+	if err != nil {
+		return nil, res, err
+	}
+	for _, m := range ms {
+		if m.MechStats != nil {
+			c.countMech(m.MechKind, *m.MechStats)
+		}
+	}
+	return ms, res, nil
 }
 
-// CountMech folds one simulation's mechanism counters into the per-kind
-// aggregate. nil-safe, and a no-op for simulations that ran no assist
-// mechanism (empty kind). Called once per finished Sim, off the hot path.
-func (c *Counters) CountMech(kind string, st mech.Stats) {
-	if c == nil || kind == "" {
+// countMech folds one simulation's mechanism counters into the per-kind
+// aggregate; a no-op for simulations that ran no assist mechanism (empty
+// kind). Called once per finished Sim, off the hot path.
+func (c *Counters) countMech(kind string, st mech.Stats) {
+	if kind == "" {
 		return
 	}
 	row := c.mechRow(kind)

@@ -33,12 +33,12 @@ import (
 )
 
 // Runner executes experiments. The zero value is usable; set Fuel to bound
-// per-benchmark dynamic instructions (0 means run each program to
-// completion), Parallel to fan benchmarks across workers, and Log to
-// observe progress.
+// per-benchmark dynamic instructions (0 means the emulator's 200M default),
+// Parallel to fan benchmarks across workers, and Log to observe progress.
 type Runner struct {
 	// Fuel caps emulated instructions per benchmark; a truncated trace
-	// is still valid for timing studies. 0 means unlimited.
+	// is still valid for timing studies. 0 means the emulator's default
+	// of 200M instructions.
 	Fuel int64
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
@@ -58,11 +58,6 @@ type Runner struct {
 	// fit in memory). 0 keeps the trace resident and walks it in
 	// emu.DefaultChunkSize windows. Results are bit-identical either way.
 	ChunkSize int
-	// NoBatch disables batched multi-configuration replay: each grid cell
-	// replays the trace in its own pass, as the pre-batching engine did.
-	// Results are bit-identical with batching on or off; the switch exists
-	// for wall-time comparison and the determinism tests.
-	NoBatch bool
 	// Counters, when non-nil, receives work-volume telemetry (lab-cache
 	// hits/misses, replayed chunks and entries). Purely observational:
 	// results are byte-identical with or without it.
@@ -142,7 +137,7 @@ type Lab struct {
 	Heur    *core.Classification
 	Reclass *core.Classification
 	// HeurFlavors / ReclassFlavors are the overlay forms of the two
-	// classifications, ready to pass to Simulate.
+	// classifications, ready to pass as BatchSpec.Flavors.
 	HeurFlavors    isa.FlavorOverlay
 	ReclassFlavors isa.FlavorOverlay
 	// Profile holds per-load unlimited-table prediction rates.
@@ -157,7 +152,6 @@ type Lab struct {
 
 	fuel     int64     // runner fuel, for streaming re-emulation
 	chunk    int       // streaming chunk size (0 = materialized)
-	noBatch  bool      // per-cell sequential replay (Runner.NoBatch)
 	counters *Counters // work telemetry (Runner.Counters; may be nil)
 
 	baseMu     sync.Mutex
@@ -260,8 +254,7 @@ func (r *Runner) buildLab(ctx context.Context, w *workload.Workload) (*Lab, erro
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	l := &Lab{W: w, Prog: p, Heur: p.Classes,
-		fuel: r.Fuel, chunk: r.ChunkSize, noBatch: r.NoBatch,
-		counters: r.Counters}
+		fuel: r.Fuel, chunk: r.ChunkSize, counters: r.Counters}
 
 	lp, profRes, err := profile.CollectContext(ctx, p.Machine, r.Fuel)
 	if err != nil && !errors.Is(err, emu.ErrFuel) {
@@ -290,106 +283,19 @@ func (r *Runner) buildLab(ctx context.Context, w *workload.Workload) (*Lab, erro
 	return l, nil
 }
 
-// Simulate replays the cached trace under cfg. flavors selects the load
-// classification (l.HeurFlavors, l.ReclassFlavors, or nil for the
-// program's baked-in flavours). ctx cancels the replay between chunks;
-// an uncancelled replay is byte-identical at every chunk setting.
-func (l *Lab) Simulate(ctx context.Context, cfg pipeline.Config, flavors isa.FlavorOverlay) (*pipeline.Metrics, error) {
-	return l.SimulateObserved(ctx, cfg, flavors, nil, false)
-}
-
-// SimulateObserved replays the cached trace under cfg with observability
-// attached: sink (may be nil) receives the cycle-level event stream, and
-// perPC enables the per-PC load attribution table on the returned Metrics.
-// Observation never changes the timing result.
-func (l *Lab) SimulateObserved(ctx context.Context, cfg pipeline.Config, flavors isa.FlavorOverlay,
-	sink pipeline.EventSink, perPC bool) (*pipeline.Metrics, error) {
-	ms, err := l.replayBatch(ctx, []pipeline.BatchSpec{{Config: cfg, Flavors: flavors}},
-		func(_ int, sim *pipeline.Sim) {
-			if perPC {
-				sim.EnablePerPC()
-			}
-			if sink != nil {
-				sim.AttachSink(sink)
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-	return ms[0], nil
-}
-
 // SimulateBatch replays the benchmark's trace under every spec in a single
 // pass — one trace iteration shared by all configurations, each chunk
-// cache-hot across the whole batch — returning metrics in spec order.
-// Results are bit-identical to len(specs) Simulate calls. Under
-// Runner.NoBatch each spec gets its own pass instead (same results, the
-// pre-batching wall time).
-func (l *Lab) SimulateBatch(ctx context.Context, specs []pipeline.BatchSpec) ([]*pipeline.Metrics, error) {
-	if l.noBatch {
-		ms := make([]*pipeline.Metrics, len(specs))
-		for i, sp := range specs {
-			m, err := l.replayBatch(ctx, specs[i:i+1], nil)
-			if err != nil {
-				return nil, fmt.Errorf("%s: spec %d %v: %w", l.W.Name, i, sp.Config.Select, err)
-			}
-			ms[i] = m[0]
-		}
-		return ms, nil
-	}
-	return l.replayBatch(ctx, specs, nil)
-}
-
-// replayBatch is the lab's replay engine: every simulation — single or
-// batched, materialized or streaming — funnels through here. attach (may be
-// nil) customizes each Sim before the first instruction. In materialized
-// mode the cached trace is walked in chunk windows with every Sim advanced
-// per window; in streaming mode (Runner.ChunkSize > 0) the architectural
-// execution is re-emulated through recycled chunks and never materialized.
-// Cancellation is checked between chunks in both modes, so every job
+// cache-hot across the whole batch — returning metrics in spec order. A
+// single configuration is a batch of one. Results are bit-identical to
+// len(specs) separate replays. Resident labs walk the cached trace in
+// emu.DefaultChunkSize windows; streaming labs (Runner.ChunkSize > 0)
+// re-emulate the program through recycled chunks and never materialize
+// it. Cancellation is checked between chunks in both modes, so every job
 // through the lab honors its deadline within one chunk of work.
-func (l *Lab) replayBatch(ctx context.Context, specs []pipeline.BatchSpec, attach func(i int, sim *pipeline.Sim)) ([]*pipeline.Metrics, error) {
-	sims, err := pipeline.NewBatch(l.Prog.Machine, specs)
-	if err != nil {
-		return nil, err
-	}
-	if attach != nil {
-		for i, sim := range sims {
-			attach(i, sim)
-		}
-	}
-	run := func(chunk *emu.Trace) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := pipeline.RunChunkBatch(sims, chunk); err != nil {
-			return err
-		}
-		l.counters.CountChunk(chunk.Len())
-		return nil
-	}
-	if l.Trace != nil {
-		chunk := l.chunk
-		if chunk <= 0 {
-			chunk = emu.DefaultChunkSize
-		}
-		if err := l.Trace.Chunks(chunk, run); err != nil {
-			return nil, err
-		}
-	} else {
-		_, err := emu.StreamTraceContext(ctx, l.Prog.Machine, l.fuel, l.chunk, run)
-		if err != nil && !errors.Is(err, emu.ErrFuel) {
-			return nil, err
-		}
-	}
-	ms := make([]*pipeline.Metrics, len(sims))
-	for i, sim := range sims {
-		ms[i] = sim.Metrics()
-		if ms[i].MechStats != nil {
-			l.counters.CountMech(ms[i].MechKind, *ms[i].MechStats)
-		}
-	}
-	return ms, nil
+func (l *Lab) SimulateBatch(ctx context.Context, specs []pipeline.BatchSpec) ([]*pipeline.Metrics, error) {
+	ms, _, err := l.counters.Replay(ctx, l.Prog.Machine, specs,
+		pipeline.Options{Fuel: l.fuel, Chunk: l.chunk, Trace: l.Trace})
+	return ms, err
 }
 
 // heurFlavors / reclassFlavors are accessor forms of the overlay fields,
@@ -409,11 +315,11 @@ func (l *Lab) BaseCycles(ctx context.Context) (int64, error) {
 	if l.baseDone {
 		return l.baseCycles, nil
 	}
-	m, err := l.Simulate(ctx, pipeline.PaperBase(), nil)
+	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: pipeline.PaperBase()}})
 	if err != nil {
 		return 0, err
 	}
-	l.baseCycles = m.Cycles
+	l.baseCycles = ms[0].Cycles
 	l.baseDone = true
 	return l.baseCycles, nil
 }
@@ -424,14 +330,14 @@ func (l *Lab) Speedup(ctx context.Context, cfg pipeline.Config, flavors isa.Flav
 	if err != nil {
 		return 0, err
 	}
-	m, err := l.Simulate(ctx, cfg, flavors)
+	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: cfg, Flavors: flavors}})
 	if err != nil {
 		return 0, err
 	}
-	if m.Cycles == 0 {
+	if ms[0].Cycles == 0 {
 		return 0, fmt.Errorf("%s: zero cycles", l.W.Name)
 	}
-	return float64(base) / float64(m.Cycles), nil
+	return float64(base) / float64(ms[0].Cycles), nil
 }
 
 // Standard hardware configurations of Section 5, expressed through the

@@ -19,7 +19,7 @@ const BenchSchema = "elag-bench/v1"
 type BenchDocument struct {
 	Schema string `json:"schema"`
 	// Fuel is the per-benchmark dynamic instruction budget the artifacts
-	// were produced under (0 = programs ran to completion).
+	// were produced under (0 = the emulator's 200M default).
 	Fuel     int64         `json:"fuel"`
 	Table2   []Table2Row   `json:"table2"`
 	Table3   []Table3Row   `json:"table3"`

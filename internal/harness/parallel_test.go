@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"elag/internal/harness"
+	"elag/internal/pipeline"
 	"elag/internal/workload"
 )
 
@@ -34,9 +35,9 @@ func artifactJSON(t *testing.T, r *harness.Runner) []byte {
 
 // TestParallelDeterminism is the engine's headline guarantee: the grid
 // experiments produce byte-identical artifacts — cycle counts, speedups,
-// float averages and all — at every parallelism level, with batched replay
-// on or off, and with traces materialized or streamed. Run under -race this
-// also proves the fan-out is data-race-free.
+// float averages and all — at every parallelism level, with traces
+// materialized or streamed. Run under -race this also proves the fan-out is
+// data-race-free.
 func TestParallelDeterminism(t *testing.T) {
 	fuel := int64(120_000)
 	if testing.Short() {
@@ -47,14 +48,11 @@ func TestParallelDeterminism(t *testing.T) {
 		name string
 		r    *harness.Runner
 	}{
-		{"parallel=1 nobatch", &harness.Runner{Fuel: fuel, Parallel: 1, NoBatch: true}},
 		{"parallel=4", &harness.Runner{Fuel: fuel, Parallel: 4}},
-		{"parallel=4 nobatch", &harness.Runner{Fuel: fuel, Parallel: 4, NoBatch: true}},
 		{"parallel=8", &harness.Runner{Fuel: fuel, Parallel: 8}},
-		{"parallel=8 nobatch", &harness.Runner{Fuel: fuel, Parallel: 8, NoBatch: true}},
+		{"parallel=1 streaming", &harness.Runner{Fuel: fuel, Parallel: 1, ChunkSize: 257}},
 		{"parallel=4 streaming", &harness.Runner{Fuel: fuel, Parallel: 4, ChunkSize: 257}},
-		{"parallel=8 streaming nobatch",
-			&harness.Runner{Fuel: fuel, Parallel: 8, ChunkSize: 257, NoBatch: true}},
+		{"parallel=8 streaming", &harness.Runner{Fuel: fuel, Parallel: 8, ChunkSize: 257}},
 	}
 	for _, v := range variants {
 		got := artifactJSON(t, v.r)
@@ -115,7 +113,8 @@ func TestLabCacheEviction(t *testing.T) {
 	if l == first[names[0]] {
 		t.Errorf("lab for %s not evicted with MaxResident=2", names[0])
 	}
-	if _, err := l.Simulate(ctx, harness.CompilerDual(), l.HeurFlavors); err != nil {
+	if _, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{
+		{Config: harness.CompilerDual(), Flavors: l.HeurFlavors}}); err != nil {
 		t.Fatal(err)
 	}
 	// The most recent lab is still cached.

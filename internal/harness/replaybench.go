@@ -153,11 +153,11 @@ func (r *Runner) ReplayBench(ctx context.Context) (*ReplayBenchDoc, error) {
 	}
 
 	table2 := func(l *Lab) error {
-		_, err := l.Simulate(ctx, CompilerDual(), l.HeurFlavors)
+		_, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: CompilerDual(), Flavors: l.HeurFlavors}})
 		return err
 	}
 	base := func(l *Lab) error {
-		_, err := l.Simulate(ctx, pipeline.PaperBase(), nil)
+		_, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: pipeline.PaperBase()}})
 		return err
 	}
 	seqAll := func(l *Lab) error {
@@ -181,7 +181,7 @@ func (r *Runner) ReplayBench(ctx context.Context) (*ReplayBenchDoc, error) {
 	batchAll := func(l *Lab) error {
 		// One streamed architectural execution shared by all five
 		// configurations.
-		_, _, err := pipeline.BatchReplayContext(ctx, l.Prog.Machine, r.Fuel, chunk, allSpecs(l))
+		_, err := l.SimulateBatch(ctx, allSpecs(l))
 		return err
 	}
 

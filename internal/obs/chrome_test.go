@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,6 +13,14 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// record simulates p under the compiler-directed configuration with sink
+// attached.
+func record(p *elag.Program, sink elag.EventSink) error {
+	_, _, err := p.SimulateBatchContext(context.Background(),
+		[]elag.BatchSpec{{Config: elag.CompilerDirectedConfig(), Sink: sink}}, 0, 0)
+	return err
+}
 
 // goldenProg is a small fixed program exercising both speculation paths, a
 // store and a loop branch. Flavours are hand-written (classification off)
@@ -39,8 +48,7 @@ func TestChromeTraceGolden(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	rec := &elag.TraceRecorder{}
-	if _, _, err := p.SimulateObserved(elag.CompilerDirectedConfig(), 0,
-		elag.ObserveOptions{Sink: rec}); err != nil {
+	if err := record(p, rec); err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
 	if len(rec.Events) == 0 {
@@ -78,15 +86,13 @@ func TestRecorderWindow(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	all := &elag.TraceRecorder{}
-	if _, _, err := p.SimulateObserved(elag.CompilerDirectedConfig(), 0,
-		elag.ObserveOptions{Sink: all}); err != nil {
+	if err := record(p, all); err != nil {
 		t.Fatal(err)
 	}
 	last := all.Events[len(all.Events)-1].Cycle
 
 	windowed := &elag.TraceRecorder{FromCycle: 10, ToCycle: last - 5}
-	if _, _, err := p.SimulateObserved(elag.CompilerDirectedConfig(), 0,
-		elag.ObserveOptions{Sink: windowed}); err != nil {
+	if err := record(p, windowed); err != nil {
 		t.Fatal(err)
 	}
 	if windowed.Total != all.Total {
@@ -102,8 +108,7 @@ func TestRecorderWindow(t *testing.T) {
 	}
 
 	capped := &elag.TraceRecorder{Limit: 5}
-	if _, _, err := p.SimulateObserved(elag.CompilerDirectedConfig(), 0,
-		elag.ObserveOptions{Sink: capped}); err != nil {
+	if err := record(p, capped); err != nil {
 		t.Fatal(err)
 	}
 	if len(capped.Events) != 5 {

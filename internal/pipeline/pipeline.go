@@ -23,8 +23,6 @@
 package pipeline
 
 import (
-	"errors"
-
 	"elag/internal/addrpred"
 	"elag/internal/bpred"
 	"elag/internal/cache"
@@ -384,23 +382,6 @@ func (s *Sim) RunChunk(chunk *emu.Trace) error {
 		}
 	}
 	return nil
-}
-
-// Simulate is the convenience entry point: emulate prog, then replay its
-// trace under cfg. fuel bounds emulated instructions (<=0 for default); a
-// fuel-truncated trace is still replayed — the timing of a prefix is valid
-// timing — so ErrFuel is not an error here.
-func Simulate(cfg Config, prog *isa.Program, fuel int64) (*Metrics, emu.Result, error) {
-	res, trace, err := emu.RunTrace(prog, fuel, true)
-	if err != nil && !errors.Is(err, emu.ErrFuel) {
-		return nil, res, err
-	}
-	sim, err := New(cfg, prog, nil)
-	if err != nil {
-		return nil, res, err
-	}
-	m, err := sim.Run(trace)
-	return m, res, err
 }
 
 // StepInst advances the timing model by one dynamic instruction. A trace

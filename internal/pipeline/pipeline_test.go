@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,11 +19,11 @@ func sim(t *testing.T, cfg Config, src string) *Metrics {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	m, _, err := Simulate(cfg, p, 10_000_000)
+	ms, _, err := Replay(context.Background(), p, []BatchSpec{{Config: cfg}}, Options{Fuel: 10_000_000})
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
-	return m
+	return ms[0]
 }
 
 func mustSim(t *testing.T, cfg Config, p *isa.Program) *Sim {

@@ -7,6 +7,7 @@ import (
 	"elag"
 	"elag/internal/artifact"
 	"elag/internal/harness"
+	"elag/internal/pipeline"
 	"elag/internal/telemetry"
 	"elag/internal/workload"
 )
@@ -106,25 +107,21 @@ func executeSimulate(j *Job, work *harness.Counters) (any, error) {
 		}
 		specs[i] = elag.BatchSpec{Config: cfg}
 	}
-	// onChunk runs strictly between chunks: it counts work volume and
-	// publishes a progress frame (one atomic load when nobody subscribed),
-	// never touching simulator state — results stay byte-identical with
-	// telemetry on or off.
-	onChunk := func(done int64, n int) {
-		work.CountChunk(n)
-		j.progress.Publish(telemetry.Frame{Type: "chunk", Job: j.ID, Insts: done, Fuel: spec.Fuel})
-	}
-	// chunk 0 streams at the default size: the service never materializes
-	// a full trace, so peak memory stays O(chunk) whatever the fuel. A
-	// fuel-truncated run is not an error (prefix timing is valid timing).
-	metrics, runRes, err := p.SimulateBatchObservedContext(j.ctx, specs, spec.Fuel, spec.Chunk, onChunk)
+	// The progress hook runs strictly between chunks, after work has
+	// counted the chunk: it publishes a frame (one atomic load when nobody
+	// subscribed) and never touches simulator state, so results stay
+	// byte-identical with telemetry on or off. Chunk 0 streams at the
+	// default size: the service never materializes a full trace, so peak
+	// memory stays O(chunk) whatever the fuel. A fuel-truncated run is not
+	// an error (prefix timing is valid timing).
+	metrics, runRes, err := work.Replay(j.ctx, p.Machine, specs, pipeline.Options{
+		Fuel: spec.Fuel, Chunk: spec.Chunk,
+		OnChunk: func(done int64, n int) {
+			j.progress.Publish(telemetry.Frame{Type: "chunk", Job: j.ID, Insts: done, Fuel: spec.Fuel})
+		},
+	})
 	if err != nil {
 		return nil, err
-	}
-	for _, m := range metrics {
-		if m.MechStats != nil {
-			work.CountMech(m.MechKind, *m.MechStats)
-		}
 	}
 	return NewSimulateResult(spec, runRes.Output(), metrics), nil
 }

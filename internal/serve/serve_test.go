@@ -210,7 +210,7 @@ func TestSimulateJobMatchesEngine(t *testing.T) {
 		}
 		specs = append(specs, elag.BatchSpec{Config: cfg})
 	}
-	metrics, runRes, err := p.SimulateBatch(specs, spec.Fuel, spec.Chunk)
+	metrics, runRes, err := p.SimulateBatchContext(context.Background(), specs, spec.Fuel, spec.Chunk)
 	if err != nil {
 		t.Fatal(err)
 	}

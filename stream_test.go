@@ -16,6 +16,7 @@ import (
 
 	"elag"
 	"elag/internal/emu"
+	"elag/internal/pipeline"
 	"elag/internal/workload"
 )
 
@@ -130,12 +131,9 @@ func TestStreamBoundedMemory(t *testing.T) {
 			}
 		}
 	}()
-	m, res, err := p.SimulateStream(elag.CompilerDirectedConfig(), fuel, 65536)
+	m, res := observe(t, p, elag.BatchSpec{Config: elag.CompilerDirectedConfig()}, fuel, 65536)
 	close(stop)
 	<-done
-	if err != nil {
-		t.Fatalf("streamed simulate: %v", err)
-	}
 	if res.DynamicInsts != fuel {
 		t.Fatalf("expected the fuel budget to truncate: ran %d insts, fuel %d",
 			res.DynamicInsts, fuel)
@@ -152,8 +150,8 @@ func TestStreamBoundedMemory(t *testing.T) {
 }
 
 // TestStreamSimulateGolden: the timing metrics and the complete cycle-level
-// event stream of a streamed simulation are bit-identical to the
-// materialized simulation's, on every workload at every chunk size.
+// event stream of a streamed simulation are bit-identical to one Sim.Run
+// over the materialized trace, on every workload at every chunk size.
 func TestStreamSimulateGolden(t *testing.T) {
 	fuel := int64(60_000)
 	if testing.Short() {
@@ -165,18 +163,22 @@ func TestStreamSimulateGolden(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			p := buildWorkload(t, w)
 			recM := &elag.TraceRecorder{}
-			want, wantRes, err := p.SimulateObserved(cfg, fuel,
-				elag.ObserveOptions{Sink: recM, PerPC: true})
+			wantRes, trace, err := emu.RunTrace(p.Machine, fuel, true)
+			if err != nil && !errors.Is(err, emu.ErrFuel) {
+				t.Fatalf("materialized run: %v", err)
+			}
+			sims, err := pipeline.NewBatch(p.Machine,
+				[]pipeline.BatchSpec{{Config: cfg, Sink: recM, PerPC: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sims[0].Run(trace)
 			if err != nil {
 				t.Fatalf("materialized simulate: %v", err)
 			}
 			for _, chunk := range streamChunkSizes(int(wantRes.DynamicInsts)) {
 				rec := &elag.TraceRecorder{}
-				got, gotRes, err := p.SimulateObserved(cfg, fuel,
-					elag.ObserveOptions{Sink: rec, PerPC: true, ChunkSize: chunk})
-				if err != nil {
-					t.Fatalf("chunk=%d: simulate: %v", chunk, err)
-				}
+				got, gotRes := observe(t, p, elag.BatchSpec{Config: cfg, Sink: rec, PerPC: true}, fuel, chunk)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("chunk=%d: metrics diverged: %d cycles vs %d",
 						chunk, got.Cycles, want.Cycles)
