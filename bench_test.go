@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"elag"
-	"elag/internal/addrpred"
 	"elag/internal/core"
 	"elag/internal/harness"
 	"elag/internal/profile"
@@ -186,8 +185,10 @@ func BenchmarkAblationECGroups(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := elag.CompilerDirectedConfig()
-			cfg.RegCache = &elag.RegCacheConfig{Entries: groups}
+			cfg, err := elag.NamedConfig("compiler", 256, groups)
+			if err != nil {
+				b.Fatal(err)
+			}
 			sp, err := elag.Speedup(p, cfg, benchFuel)
 			if err != nil {
 				b.Fatal(err)
@@ -215,7 +216,10 @@ func BenchmarkAblationTableAssoc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, assoc := range []int{1, 4} {
 			cfg := elag.CompilerDirectedConfig()
-			cfg.Predictor = &elag.PredictorConfig{Entries: 256, Assoc: assoc}
+			cfg.Mechanisms = []elag.MechSpec{
+				{Kind: "addrpred", Entries: 256, Assoc: assoc},
+				{Kind: "earlycalc", Entries: 1},
+			}
 			sp, err := elag.Speedup(p, cfg, benchFuel)
 			if err != nil {
 				b.Fatal(err)
@@ -313,36 +317,6 @@ func BenchmarkClassifier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range progs {
 			core.Classify(p.Machine, core.Options{})
-		}
-	}
-}
-
-// BenchmarkAblationPredictorPolicy compares the paper's stride machine
-// against the cited related-work predictors (Golden & Mudge last-address;
-// Gonzalez & Gonzalez stride + saturating confidence counter) in the
-// compiler-directed configuration over a strided benchmark.
-func BenchmarkAblationPredictorPolicy(b *testing.B) {
-	w := workload.Get("023.eqntott")
-	p, err := elag.Build(w.Source, elag.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, pol := range []struct {
-			policy addrpred.Policy
-			metric string
-		}{
-			{addrpred.PolicyStride, "stride_x"},
-			{addrpred.PolicyLastAddress, "lastaddr_x"},
-			{addrpred.PolicyStrideCounter, "counter_x"},
-		} {
-			cfg := elag.CompilerDirectedConfig()
-			cfg.Predictor = &elag.PredictorConfig{Entries: 256, Policy: pol.policy}
-			sp, err := elag.Speedup(p, cfg, benchFuel)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(sp, pol.metric)
 		}
 	}
 }

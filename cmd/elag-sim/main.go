@@ -9,10 +9,11 @@
 //	-config name   base | compiler | hw-pred | hw-early | hw-dual
 //	-table N       prediction table entries (default 256)
 //	-regs N        early-calculation registers (default 1; 16 for hw modes)
-//	-mech spec     attach a load-acceleration mechanism from the registry
+//	-mech spec     attach an assist mechanism from the registry
 //	               (kind[:entries[xassoc]], e.g. stride:256 or pcax:256x4);
-//	               assist mechanisms ride on -config base (the default when
-//	               -mech is given)
+//	               assists ride on -config base (the default when -mech is
+//	               given); the paper kinds addrpred and earlycalc are sized
+//	               by -table and -regs instead, and rejected here
 //	-help-mechanisms
 //	               list the registered mechanism kinds and exit
 //	-fuel N        dynamic instruction budget (0 = the 200M default)
@@ -50,7 +51,7 @@ func main() {
 	config := flag.String("config", "compiler", cli.ConfigNames)
 	table := flag.Int("table", 256, "prediction table entries")
 	regs := flag.Int("regs", 0, "early-calculation registers (0 = mode default)")
-	mechSpec := flag.String("mech", "", "attach a load-acceleration mechanism (kind[:entries[xassoc]], e.g. stride:256); implies -config base")
+	mechSpec := flag.String("mech", "", "attach an assist mechanism (kind[:entries[xassoc]], e.g. stride:256); implies -config base. The paper kinds (addrpred, earlycalc) are sized by -table/-regs instead")
 	helpMechs := flag.Bool("help-mechanisms", false, "list the registered mechanism kinds and exit")
 	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
 	useProfile := flag.Bool("profile", false, "apply profile-guided reclassification")

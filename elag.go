@@ -38,10 +38,8 @@ import (
 	"fmt"
 	"io"
 
-	"elag/internal/addrpred"
 	"elag/internal/asm"
 	"elag/internal/core"
-	"elag/internal/earlycalc"
 	"elag/internal/emu"
 	"elag/internal/ir"
 	"elag/internal/isa"
@@ -81,10 +79,6 @@ type (
 	FlavorOverlay = isa.FlavorOverlay
 	// Selection steers loads to early-address-generation hardware.
 	Selection = pipeline.Selection
-	// PredictorConfig parameterizes the address-prediction table.
-	PredictorConfig = addrpred.Config
-	// RegCacheConfig parameterizes the addressing-register cache.
-	RegCacheConfig = earlycalc.Config
 	// MechSpec identifies a pluggable load-acceleration mechanism by
 	// registry kind plus geometry; its canonical string form is
 	// "kind[:entries[xassoc]]" (see ParseMechSpec and
@@ -203,41 +197,29 @@ const ConfigNames = "base|compiler|hw-pred|hw-early|hw-dual"
 
 // NamedConfig maps a configuration name (see ConfigNames) to a simulator
 // configuration — the shared vocabulary of the CLI tools' -config flag and
-// the elag-serve job API. table sizes the prediction table (0 keeps the
-// mode's zero default); regs sizes the register cache (0 picks the mode's
+// the elag-serve job API. The hardware is spelled as mechanism specs:
+// table sizes the "addrpred" prediction table (0 picks its default of
+// 256); regs sizes the "earlycalc" register cache (0 picks the mode's
 // default: 1 for compiler, 16 for the hardware-only modes).
 func NamedConfig(name string, table, regs int) (SimConfig, error) {
-	def := func(n, d int) int {
-		if n == 0 {
-			return d
+	pred := MechSpec{Kind: "addrpred", Entries: table}
+	rc := func(def int) MechSpec {
+		if regs != 0 {
+			def = regs
 		}
-		return n
+		return MechSpec{Kind: "earlycalc", Entries: def}
 	}
 	switch name {
 	case "base":
 		return BaseConfig(), nil
 	case "compiler":
-		return SimConfig{
-			Select:    SelCompiler,
-			Predictor: &PredictorConfig{Entries: table},
-			RegCache:  &RegCacheConfig{Entries: def(regs, 1)},
-		}, nil
+		return SimConfig{Select: SelCompiler, Mechanisms: []MechSpec{pred, rc(1)}}, nil
 	case "hw-pred":
-		return SimConfig{
-			Select:    SelAllPredict,
-			Predictor: &PredictorConfig{Entries: table},
-		}, nil
+		return SimConfig{Select: SelAllPredict, Mechanisms: []MechSpec{pred}}, nil
 	case "hw-early":
-		return SimConfig{
-			Select:   SelAllEarly,
-			RegCache: &RegCacheConfig{Entries: def(regs, 16)},
-		}, nil
+		return SimConfig{Select: SelAllEarly, Mechanisms: []MechSpec{rc(16)}}, nil
 	case "hw-dual":
-		return SimConfig{
-			Select:    SelHWDual,
-			Predictor: &PredictorConfig{Entries: table},
-			RegCache:  &RegCacheConfig{Entries: def(regs, 16)},
-		}, nil
+		return SimConfig{Select: SelHWDual, Mechanisms: []MechSpec{pred, rc(16)}}, nil
 	}
 	return SimConfig{}, fmt.Errorf("unknown config %q (want %s)", name, ConfigNames)
 }
@@ -256,14 +238,6 @@ func ValidateMechSpec(sp MechSpec) error { return mech.Validate(sp) }
 // one-line descriptions — the -help-mechanisms vocabulary of the CLI
 // tools.
 func Mechanisms() []MechDesc { return mech.Describe() }
-
-// MechConfig returns a configuration that drives every load through the
-// given assist mechanism on the otherwise-base machine. Paper-mechanism
-// specs ("addrpred", "earlycalc") are better combined with a Selection
-// policy via SimConfig.Mechanisms directly.
-func MechConfig(sp MechSpec) SimConfig {
-	return SimConfig{Mechanisms: []MechSpec{sp}}
-}
 
 // Optimization levels (see BuildOptions.Level).
 const (

@@ -67,17 +67,19 @@ func main() {
 		cfg  elag.SimConfig
 	}{
 		{"prediction only (256)", elag.SimConfig{
-			Select:    elag.SelAllPredict,
-			Predictor: &elag.PredictorConfig{Entries: 256},
+			Select:     elag.SelAllPredict,
+			Mechanisms: []elag.MechSpec{{Kind: "addrpred", Entries: 256}},
 		}},
 		{"early-calc only (16 regs)", elag.SimConfig{
-			Select:   elag.SelAllEarly,
-			RegCache: &elag.RegCacheConfig{Entries: 16},
+			Select:     elag.SelAllEarly,
+			Mechanisms: []elag.MechSpec{{Kind: "earlycalc", Entries: 16}},
 		}},
 		{"hw dual (interlock steer)", elag.SimConfig{
-			Select:    elag.SelHWDual,
-			Predictor: &elag.PredictorConfig{Entries: 256},
-			RegCache:  &elag.RegCacheConfig{Entries: 16},
+			Select: elag.SelHWDual,
+			Mechanisms: []elag.MechSpec{
+				{Kind: "addrpred", Entries: 256},
+				{Kind: "earlycalc", Entries: 16},
+			},
 		}},
 		{"compiler dual (256 + 1)", elag.CompilerDirectedConfig()},
 	}

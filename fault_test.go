@@ -85,13 +85,26 @@ func TestSimConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("base config invalid: %v", err)
 	}
+	pred := func(n int) elag.MechSpec { return elag.MechSpec{Kind: "addrpred", Entries: n} }
+	rc := func(n int) elag.MechSpec { return elag.MechSpec{Kind: "earlycalc", Entries: n} }
 	bad := []elag.SimConfig{
 		{IssueWidth: -1},
 		{FetchWidth: 1000},
 		{DCache: elag.CompilerDirectedConfig().DCache, LatDiv: -3},
-		{Predictor: &elag.PredictorConfig{Entries: 3}},
-		{RegCache: &elag.RegCacheConfig{Entries: -1}},
+		{Select: elag.SelCompiler, Mechanisms: []elag.MechSpec{pred(3)}},
+		{Select: elag.SelCompiler, Mechanisms: []elag.MechSpec{rc(-1)}},
 		{Select: elag.Selection(99)},
+		// A paper structure the selection policy never uses.
+		{Mechanisms: []elag.MechSpec{pred(1024)}},
+		{Select: elag.SelAllEarly, Mechanisms: []elag.MechSpec{rc(16), pred(1024)}},
+		{Mechanisms: []elag.MechSpec{rc(4)}},
+		{Select: elag.SelAllPredict, Mechanisms: []elag.MechSpec{pred(256), rc(4)}},
+		// Structures configured twice, clashing assists, unknown kinds.
+		{Select: elag.SelCompiler, Mechanisms: []elag.MechSpec{pred(256), pred(64)}},
+		{Select: elag.SelCompiler, Mechanisms: []elag.MechSpec{rc(1), rc(1)}},
+		{Mechanisms: []elag.MechSpec{{Kind: "stride"}, {Kind: "pcax"}}},
+		{Select: elag.SelCompiler, Mechanisms: []elag.MechSpec{{Kind: "stride"}, pred(256)}},
+		{Mechanisms: []elag.MechSpec{{Kind: "no-such-kind"}}},
 	}
 	for i, cfg := range bad {
 		err := cfg.Validate()

@@ -38,8 +38,6 @@ type Entry struct {
 	STC   bool  // stride confidence
 	State State
 	seen  bool
-	// counter is used by PolicyStrideCounter instead of State/STC.
-	counter uint8
 }
 
 // Reset re-initializes the entry for a newly allocated load, performing the
@@ -111,10 +109,6 @@ type Config struct {
 	// Assoc is the set associativity. Default 1 (direct-mapped, as in
 	// the paper).
 	Assoc int
-	// Policy selects the prediction algorithm; the zero value is the
-	// paper's stride machine. The alternatives implement the cited
-	// related work (see Policy).
-	Policy Policy
 }
 
 // Stats accumulates table behaviour.
@@ -161,11 +155,10 @@ type TableEvent struct {
 
 // Table is the finite PC-indexed address prediction table.
 type Table struct {
-	sets   [][]taggedEntry
-	mask   int64
-	stamp  int64
-	stats  Stats
-	policy Policy
+	sets  [][]taggedEntry
+	mask  int64
+	stamp int64
+	stats Stats
 
 	// Observer, when non-nil, receives a TableEvent for every Update and
 	// UpdateIfPresent training step. Nil (the default) costs one branch.
@@ -211,7 +204,7 @@ func NewTable(cfg Config) (*Table, error) {
 		assoc = 1
 	}
 	nSets := n / assoc
-	t := &Table{sets: make([][]taggedEntry, nSets), mask: int64(nSets - 1), policy: cfg.Policy}
+	t := &Table{sets: make([][]taggedEntry, nSets), mask: int64(nSets - 1)}
 	// One backing array for all sets: two allocations per table instead of
 	// one per set.
 	entries := make([]taggedEntry, nSets*assoc)
@@ -244,7 +237,7 @@ func (t *Table) Probe(pc int) (addr int64, ok bool) {
 		return 0, false
 	}
 	t.stats.ProbeHits++
-	addr, ok = t.policy.predict(&te.e)
+	addr, ok = te.e.Predict()
 	if ok {
 		t.stats.Predictions++
 	}
@@ -260,7 +253,7 @@ func (t *Table) UpdateIfPresent(pc int, ca int64) (wasCorrect bool) {
 		t.stamp++
 		te.lru = t.stamp
 		from := te.e.State
-		wasCorrect = t.policy.update(&te.e, ca)
+		wasCorrect = te.e.Update(ca)
 		if wasCorrect {
 			t.stats.Correct++
 		}
@@ -281,7 +274,7 @@ func (t *Table) Update(pc int, ca int64) (wasCorrect bool) {
 	if te := t.find(pc); te != nil {
 		te.lru = t.stamp
 		from := te.e.State
-		wasCorrect = t.policy.update(&te.e, ca)
+		wasCorrect = te.e.Update(ca)
 		if wasCorrect {
 			t.stats.Correct++
 		}
@@ -290,8 +283,7 @@ func (t *Table) Update(pc int, ca int64) (wasCorrect bool) {
 		}
 		return wasCorrect
 	}
-	// Replace: allocate, evicting the LRU way; the first update of a
-	// fresh entry is the policy's allocation arc (the paper's Replace).
+	// Replace: allocate, evicting the LRU way.
 	victim := &set[0]
 	for i := range set {
 		te := &set[i]
@@ -305,8 +297,7 @@ func (t *Table) Update(pc int, ca int64) (wasCorrect bool) {
 	}
 	victim.tag = int64(pc)
 	victim.lru = t.stamp
-	victim.e = Entry{}
-	t.policy.update(&victim.e, ca)
+	victim.e.Reset(ca)
 	t.stats.Allocations++
 	if t.Observer != nil {
 		t.Observer(TableEvent{PC: pc, To: victim.e.State, Alloc: true})

@@ -142,6 +142,22 @@ func TestTableProbeUpdateAllocate(t *testing.T) {
 	}
 }
 
+// TestTableStridedFeed pins the default table's machine: a strided load
+// allocates, learns, verifies, and then predicts, so of 0,8,16,24,32 only
+// the last two are predicted correctly.
+func TestTableStridedFeed(t *testing.T) {
+	tb := mustNewTable(t, Config{Entries: 16})
+	correct := 0
+	for _, ca := range []int64{0, 8, 16, 24, 32} {
+		if tb.Update(5, ca) {
+			correct++
+		}
+	}
+	if correct != 2 {
+		t.Errorf("strided feed correct = %d, want 2 (24 and 32)", correct)
+	}
+}
+
 func TestTableConflictEviction(t *testing.T) {
 	tb := mustNewTable(t, Config{Entries: 16})
 	tb.Update(3, 100)

@@ -31,11 +31,11 @@ import (
 	"reflect"
 	"strings"
 
-	"elag/internal/addrpred"
 	"elag/internal/core"
-	"elag/internal/earlycalc"
 	"elag/internal/emu"
 	"elag/internal/isa"
+	"elag/internal/mech"
+	_ "elag/internal/mech/all" // register the assist mechanisms
 	"elag/internal/pipeline"
 )
 
@@ -55,17 +55,37 @@ func DefaultConfigs() []NamedConfig {
 		{"base", pipeline.PaperBase()},
 		{"compiler-directed", pipeline.PaperCompilerDirected()},
 		{"all-predict", pipeline.Config{
-			Select:    pipeline.SelAllPredict,
-			Predictor: &addrpred.Config{Entries: 256},
+			Select:     pipeline.SelAllPredict,
+			Mechanisms: []mech.Spec{{Kind: "addrpred", Entries: 256}},
 		}},
 		{"all-early", pipeline.Config{
-			Select:   pipeline.SelAllEarly,
-			RegCache: &earlycalc.Config{Entries: 4},
+			Select:     pipeline.SelAllEarly,
+			Mechanisms: []mech.Spec{{Kind: "earlycalc", Entries: 4}},
 		}},
 		{"hw-dual", pipeline.Config{
-			Select:    pipeline.SelHWDual,
-			Predictor: &addrpred.Config{Entries: 256},
-			RegCache:  &earlycalc.Config{Entries: 4},
+			Select: pipeline.SelHWDual,
+			Mechanisms: []mech.Spec{
+				{Kind: "addrpred", Entries: 256},
+				{Kind: "earlycalc", Entries: 4},
+			},
+		}},
+	}
+}
+
+// MechConfigs returns the assist-mechanism differential configurations:
+// the base (no-speculation) anchor, which is always first and anchors the
+// cross-config cycle bound, then each registered assist mechanism at its
+// reference geometry. Every assist must hold the full invariant suite —
+// lockstep trace integrity, architectural transparency, counter algebra,
+// steering and streaming equivalence.
+func MechConfigs() []NamedConfig {
+	return []NamedConfig{
+		{"base", pipeline.PaperBase()},
+		{"stride", pipeline.Config{
+			Mechanisms: []mech.Spec{{Kind: "stride", Entries: 256}},
+		}},
+		{"pcax", pipeline.Config{
+			Mechanisms: []mech.Spec{{Kind: "pcax", Entries: 256, Assoc: 4}},
 		}},
 	}
 }
@@ -470,13 +490,8 @@ func checkConfig(prog *isa.Program, nc NamedConfig, trace *emu.Trace,
 	// Steering: each policy's eligible counts must match the dynamic
 	// load mix the trace actually contains.
 	mix := countLoads(prog, trace)
-	hasTable := nc.Config.Predictor != nil
-	hasRC := nc.Config.RegCache != nil
-	hasAssist := false
+	var hasTable, hasRC, hasAssist bool
 	for _, sp := range nc.Config.Mechanisms {
-		// Spec-configured paper mechanisms normalize to the typed fields
-		// inside pipeline.New; mirror that here so steering expectations
-		// see through the registry vocabulary.
 		switch sp.Kind {
 		case "addrpred":
 			hasTable = true

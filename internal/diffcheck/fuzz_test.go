@@ -31,10 +31,9 @@ func FuzzOptLevels(f *testing.F) {
 	})
 }
 
-// FuzzMech feeds generator seeds to the mechanism-layer equivalence
-// checker: whatever program the seed produces must behave identically with
-// the paper mechanisms configured through registry specs or typed fields,
-// and the stride/pcax assist mechanisms must hold every replay invariant.
+// FuzzMech feeds generator seeds to the assist-mechanism differential
+// checker: whatever program the seed produces, the stride/pcax assist
+// mechanisms must hold every replay invariant.
 // A tripping seed is a minimized witness against a mechanism's determinism
 // or the assist path's timing accounting.
 func FuzzMech(f *testing.F) {
@@ -47,7 +46,7 @@ func FuzzMech(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program does not assemble: %v\n%s", err, src)
 		}
-		rep, err := CheckMechEquivalence(p, Options{Fuel: 200_000})
+		rep, err := Check(p, Options{Fuel: 200_000, Configs: MechConfigs()})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

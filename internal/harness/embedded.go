@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"elag"
 	"elag/internal/bpred"
 	"elag/internal/cache"
+	"elag/internal/mech"
 	"elag/internal/pipeline"
 	"elag/internal/workload"
 )
@@ -42,8 +42,7 @@ func EmbeddedBase() pipeline.Config {
 func EmbeddedCompiler() pipeline.Config {
 	cfg := EmbeddedBase()
 	cfg.Select = pipeline.SelCompiler
-	cfg.Predictor = &elag.PredictorConfig{Entries: 64}
-	cfg.RegCache = &elag.RegCacheConfig{Entries: 1}
+	cfg.Mechanisms = []mech.Spec{{Kind: "addrpred", Entries: 64}, {Kind: "earlycalc", Entries: 1}}
 	return cfg
 }
 
@@ -53,8 +52,7 @@ func EmbeddedCompiler() pipeline.Config {
 func EmbeddedHWDual() pipeline.Config {
 	cfg := EmbeddedBase()
 	cfg.Select = pipeline.SelHWDual
-	cfg.Predictor = &elag.PredictorConfig{Entries: 64}
-	cfg.RegCache = &elag.RegCacheConfig{Entries: 8}
+	cfg.Mechanisms = []mech.Spec{{Kind: "addrpred", Entries: 64}, {Kind: "earlycalc", Entries: 8}}
 	return cfg
 }
 

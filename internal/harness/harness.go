@@ -340,11 +340,9 @@ func (l *Lab) Speedup(ctx context.Context, cfg pipeline.Config, flavors isa.Flav
 	return float64(base) / float64(ms[0].Cycles), nil
 }
 
-// Standard hardware configurations of Section 5, expressed through the
-// mechanism registry (internal/mech): pipeline.New normalizes each paper
-// spec to the identical typed configuration, so these produce metrics
-// byte-identical to the pre-registry literals while sharing the spec
-// vocabulary of the CLI flags and the serve job API.
+// Standard hardware configurations of Section 5, expressed as mechanism
+// registry specs (internal/mech) — the one spelling of the hardware, shared
+// with the CLI flags and the serve job API.
 
 // CompilerDual is the paper's proposal: 256-entry table + 1 R_addr,
 // compiler-selected flavours.

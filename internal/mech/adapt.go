@@ -1,11 +1,12 @@
 // adapt.go makes the paper's two mechanisms — the addrpred prediction
 // table and the earlycalc addressing-register cache — the registry's first
-// two implementations. The pipeline still drives both through their
-// concrete types on the replay hot path (the interface indirection is
-// reserved for assist mechanisms; see pipeline.New's spec normalization),
-// so these adapters exist to give the two paper mechanisms full registry
-// citizenship: spec vocabulary, Describe rows, and an interface-complete
-// wrapping for tests and tooling.
+// two implementations. A spec is the only way to configure either, but the
+// pipeline drives both through their concrete types on the replay hot path:
+// pipeline.New builds the table and the register cache straight from the
+// specs through PredictorConfig and RegCacheConfig (the interface
+// indirection is reserved for assist mechanisms). These adapters give the
+// two paper mechanisms full registry citizenship: validation, Describe
+// rows, and an interface-complete wrapping for tests and tooling.
 package mech
 
 import (

@@ -186,30 +186,41 @@ func lookupKind(kind string) (kindInfo, error) {
 	return info, nil
 }
 
-// New builds a mechanism instance from a spec.
-func New(s Spec) (Mechanism, error) {
+// check resolves a spec's kind and checks its geometry: first the
+// registry-wide rule that the spec has a canonical string form (no
+// negative field, and an associativity only with an entry count, since
+// "kind:0x4" does not parse back), then the kind's own validator. New and
+// Validate share it, so a spec that validates is one New accepts.
+func check(s Spec) (kindInfo, error) {
 	info, err := lookupKind(s.Kind)
 	if err != nil {
-		return nil, err
+		return kindInfo{}, err
+	}
+	if s.Entries < 0 || s.Assoc < 0 || (s.Assoc != 0 && s.Entries == 0) {
+		return kindInfo{}, fmt.Errorf("%s: entries %d, assoc %d: geometry must be non-negative, and an associativity needs an entry count",
+			s.Kind, s.Entries, s.Assoc)
 	}
 	if info.validate != nil {
 		if err := info.validate(s); err != nil {
-			return nil, err
+			return kindInfo{}, err
 		}
+	}
+	return info, nil
+}
+
+// New builds a mechanism instance from a spec.
+func New(s Spec) (Mechanism, error) {
+	info, err := check(s)
+	if err != nil {
+		return nil, err
 	}
 	return info.factory(s)
 }
 
 // Validate checks a spec against the registry without building an instance.
 func Validate(s Spec) error {
-	info, err := lookupKind(s.Kind)
-	if err != nil {
-		return err
-	}
-	if info.validate != nil {
-		return info.validate(s)
-	}
-	return nil
+	_, err := check(s)
+	return err
 }
 
 // Kinds returns the registered kind names, sorted.

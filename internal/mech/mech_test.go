@@ -3,6 +3,8 @@ package mech_test
 import (
 	"testing"
 
+	"elag/internal/diffcheck"
+	"elag/internal/harness"
 	"elag/internal/mech"
 	_ "elag/internal/mech/all"
 )
@@ -32,6 +34,34 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	for _, bad := range []string{"", ":64", "stride:", "stride:0", "stride:64x", "stride:64x0", "stride:abc"} {
 		if _, err := mech.ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error", bad)
+		}
+	}
+
+	// The string is the spelling of a spec in labels, flags and job
+	// specs, so every spec the repository configures must validate and
+	// parse back from its String form.
+	specs := append([]mech.Spec(nil), harness.MechFigureSpecs...)
+	for _, nc := range append(diffcheck.DefaultConfigs(), diffcheck.MechConfigs()...) {
+		specs = append(specs, nc.Config.Mechanisms...)
+	}
+	for _, sp := range specs {
+		if err := mech.Validate(sp); err != nil {
+			t.Errorf("Validate(%+v): %v", sp, err)
+			continue
+		}
+		if got, err := mech.ParseSpec(sp.String()); err != nil || got != sp {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", sp.String(), got, err, sp)
+		}
+	}
+	// An associativity without an entry count renders as "kind:0x4",
+	// which does not parse back, so no kind may accept it.
+	for _, kind := range []string{"pcax", "addrpred"} {
+		sp := mech.Spec{Kind: kind, Assoc: 4}
+		if err := mech.Validate(sp); err == nil {
+			t.Errorf("Validate(%+v) = nil, want error", sp)
+		}
+		if _, err := mech.New(sp); err == nil {
+			t.Errorf("New(%+v) = nil error, want error", sp)
 		}
 	}
 }

@@ -3,10 +3,8 @@ package pipeline
 import (
 	"fmt"
 
-	"elag/internal/addrpred"
 	"elag/internal/bpred"
 	"elag/internal/cache"
-	"elag/internal/earlycalc"
 	"elag/internal/mech"
 )
 
@@ -88,21 +86,18 @@ type Config struct {
 
 	// Select steers loads to the early-address-generation hardware.
 	Select Selection
-	// Predictor, when non-nil, instantiates the PC-indexed address
-	// prediction table (used by SelCompiler, SelAllPredict, SelHWDual).
-	Predictor *addrpred.Config
-	// RegCache, when non-nil, instantiates the early-calculation
-	// addressing register cache; Entries=1 is the paper's R_addr.
-	RegCache *earlycalc.Config
 
-	// Mechanisms names load-acceleration mechanisms by registry spec (see
-	// package mech). Specs of the two paper kinds ("addrpred",
-	// "earlycalc") are normalized by New into the Predictor / RegCache
-	// fields above, so the spec vocabulary and the typed pointers are two
-	// spellings of one configuration (setting both is an error). At most
-	// one spec of any other kind may appear: it attaches as the assist
-	// mechanism, which drives every load through the registry interface
-	// and is mutually exclusive with the paper mechanisms.
+	// Mechanisms attaches load-acceleration hardware by registry spec
+	// (see package mech); it is the only way to configure any. An
+	// "addrpred" spec instantiates the PC-indexed address prediction
+	// table, which Select must use (SelCompiler, SelAllPredict,
+	// SelHWDual). An "earlycalc" spec instantiates the early-calculation
+	// addressing register cache (Entries 1 is the paper's R_addr), which
+	// Select must use too (SelCompiler, SelAllEarly, SelHWDual). Each
+	// appears at most once. At most one spec of any other kind may
+	// appear: it attaches as the assist mechanism, which drives every
+	// load through the registry interface and is mutually exclusive with
+	// the paper mechanisms.
 	Mechanisms []mech.Spec
 }
 
@@ -115,9 +110,11 @@ func PaperBase() Config { return Config{} }
 // addressing register, with compiler-selected load flavours.
 func PaperCompilerDirected() Config {
 	return Config{
-		Select:    SelCompiler,
-		Predictor: &addrpred.Config{Entries: 256},
-		RegCache:  &earlycalc.Config{Entries: 1},
+		Select: SelCompiler,
+		Mechanisms: []mech.Spec{
+			{Kind: "addrpred", Entries: 256},
+			{Kind: "earlycalc", Entries: 1},
+		},
 	}
 }
 
@@ -178,16 +175,6 @@ func (c Config) Validate() error {
 	if c.Select > SelHWDual {
 		return fmt.Errorf("pipeline: unknown selection policy %d", c.Select)
 	}
-	if c.Predictor != nil {
-		if err := c.Predictor.Validate(); err != nil {
-			return fmt.Errorf("pipeline: predictor: %w", err)
-		}
-	}
-	if c.RegCache != nil {
-		if err := c.RegCache.Validate(); err != nil {
-			return fmt.Errorf("pipeline: regcache: %w", err)
-		}
-	}
 	var nPred, nRC, nAssist int
 	for _, sp := range c.Mechanisms {
 		if err := mech.Validate(sp); err != nil {
@@ -196,22 +183,28 @@ func (c Config) Validate() error {
 		switch sp.Kind {
 		case "addrpred":
 			nPred++
+			if c.Select != SelCompiler && c.Select != SelAllPredict && c.Select != SelHWDual {
+				return fmt.Errorf("pipeline: mechanism %s: selection %s never uses the prediction table", sp, c.Select)
+			}
 		case "earlycalc":
 			nRC++
+			if c.Select != SelCompiler && c.Select != SelAllEarly && c.Select != SelHWDual {
+				return fmt.Errorf("pipeline: mechanism %s: selection %s never uses the register cache", sp, c.Select)
+			}
 		default:
 			nAssist++
 		}
 	}
-	if nPred > 1 || (nPred == 1 && c.Predictor != nil) {
-		return fmt.Errorf("pipeline: the prediction table is configured twice (Predictor and an addrpred mechanism spec)")
+	if nPred > 1 {
+		return fmt.Errorf("pipeline: the prediction table is configured %d times (one addrpred spec at most)", nPred)
 	}
-	if nRC > 1 || (nRC == 1 && c.RegCache != nil) {
-		return fmt.Errorf("pipeline: the register cache is configured twice (RegCache and an earlycalc mechanism spec)")
+	if nRC > 1 {
+		return fmt.Errorf("pipeline: the register cache is configured %d times (one earlycalc spec at most)", nRC)
 	}
 	if nAssist > 1 {
 		return fmt.Errorf("pipeline: at most one assist mechanism may be configured (got %d)", nAssist)
 	}
-	if nAssist == 1 && (c.Predictor != nil || c.RegCache != nil || nPred > 0 || nRC > 0) {
+	if nAssist == 1 && nPred+nRC > 0 {
 		return fmt.Errorf("pipeline: an assist mechanism is mutually exclusive with the paper mechanisms")
 	}
 	return nil

@@ -4,10 +4,9 @@ import (
 	"reflect"
 	"testing"
 
-	"elag/internal/addrpred"
 	"elag/internal/asm/asmtest"
-	"elag/internal/earlycalc"
 	"elag/internal/emu"
+	"elag/internal/mech"
 )
 
 // obsProg exercises both speculation paths, stores (mem-interlock), a
@@ -23,11 +22,7 @@ const obsProgBody = `
 `
 
 func obsConfig() Config {
-	return Config{
-		Select:    SelCompiler,
-		Predictor: &addrpred.Config{Entries: 64},
-		RegCache:  &earlycalc.Config{Entries: 1},
-	}
+	return Config{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(64), rcSpec(1)}}
 }
 
 func obsTrace(t *testing.T) (*emu.Trace, *Sim) {
@@ -168,9 +163,13 @@ func sumPathStats(rows []LoadPCStats, early bool) PathStats {
 // to the global counters, for every PathStats field plus loads, latency
 // sum and the zero/one-cycle forward counts.
 func TestPerPCCounterAlgebra(t *testing.T) {
-	for _, sel := range []Selection{SelCompiler, SelAllPredict, SelAllEarly, SelHWDual} {
-		cfg := obsConfig()
-		cfg.Select = sel
+	for _, cfg := range []Config{
+		obsConfig(),
+		{Select: SelAllPredict, Mechanisms: []mech.Spec{predSpec(64)}},
+		{Select: SelAllEarly, Mechanisms: []mech.Spec{rcSpec(1)}},
+		{Select: SelHWDual, Mechanisms: []mech.Spec{predSpec(64), rcSpec(1)}},
+	} {
+		sel := cfg.Select
 		p := asmtest.MustAssemble(t, loopOf(3000, obsProgBody))
 		_, trace, err := emu.RunTrace(p, 10_000_000, true)
 		if err != nil {

@@ -263,27 +263,6 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 		return nil, err
 	}
 	cfg.fill()
-	// Normalize mechanism specs before buildMeta reads the config: the two
-	// paper kinds become the typed component configs (Validate guarantees
-	// neither is configured twice), any other kind constructs the assist
-	// mechanism through the registry.
-	var assist mech.Mechanism
-	for _, sp := range cfg.Mechanisms {
-		switch sp.Kind {
-		case "addrpred":
-			pc := mech.PredictorConfig(sp)
-			cfg.Predictor = &pc
-		case "earlycalc":
-			rc := mech.RegCacheConfig(sp)
-			cfg.RegCache = &rc
-		default:
-			m, err := mech.New(sp)
-			if err != nil {
-				return nil, err
-			}
-			assist = m
-		}
-	}
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
 		return nil, err
@@ -303,7 +282,6 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 		ic:          newTimedCache(ic),
 		dc:          newTimedCache(dc),
 		btb:         btb,
-		assist:      assist,
 		icLastBlock: -1,
 		icLastCycle: -1,
 	}
@@ -312,13 +290,23 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 	s.fpRes.cap = uint8(cfg.FPALUs)
 	s.brRes.cap = uint8(cfg.BranchUnits)
 	s.portRes.cap = uint8(cfg.MemPorts)
-	if cfg.Predictor != nil {
-		if s.table, err = addrpred.NewTable(*cfg.Predictor); err != nil {
-			return nil, err
+	// The two paper kinds are built as their concrete structures, which
+	// the ld_p and ld_e paths drive directly; any other kind is the assist
+	// mechanism, driven through the registry interface. Validate
+	// guarantees each appears at most once.
+	for _, sp := range cfg.Mechanisms {
+		switch sp.Kind {
+		case "addrpred":
+			if s.table, err = addrpred.NewTable(mech.PredictorConfig(sp)); err != nil {
+				return nil, err
+			}
+		case "earlycalc":
+			s.regcache = earlycalc.New(mech.RegCacheConfig(sp))
+		default:
+			if s.assist, err = mech.New(sp); err != nil {
+				return nil, err
+			}
 		}
-	}
-	if cfg.RegCache != nil {
-		s.regcache = earlycalc.New(*cfg.RegCache)
 	}
 	// Cycle numbering starts at 1 so that zero-valued ready times never
 	// constrain anything.

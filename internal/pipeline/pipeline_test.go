@@ -2,16 +2,21 @@ package pipeline
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
-	"elag/internal/addrpred"
 	"elag/internal/asm"
 	"elag/internal/asm/asmtest"
-	"elag/internal/earlycalc"
 	"elag/internal/emu"
 	"elag/internal/isa"
+	"elag/internal/mech"
 )
+
+// predSpec and rcSpec spell the paper's prediction table and register
+// cache with n entries.
+func predSpec(n int) mech.Spec { return mech.Spec{Kind: "addrpred", Entries: n} }
+func rcSpec(n int) mech.Spec   { return mech.Spec{Kind: "earlycalc", Entries: n} }
 
 func sim(t *testing.T, cfg Config, src string) *Metrics {
 	t.Helper()
@@ -82,10 +87,7 @@ func TestBaseLoadUseStall(t *testing.T) {
 }
 
 func TestPredictPathForwardsStridedLoad(t *testing.T) {
-	cfg := Config{
-		Select:    SelCompiler,
-		Predictor: &addrpred.Config{Entries: 256},
-	}
+	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(256)}}
 	// 6000 iterations x 8 bytes stay within the 64K cache, so nearly
 	// every speculative access is a true hit.
 	m := sim(t, cfg, loopOf(6000, `
@@ -134,7 +136,7 @@ func TestPredictPathUselessOnRandomAddresses(t *testing.T) {
 		blt r9, 20000, loop
 		halt r0
 	`
-	cfg := Config{Select: SelCompiler, Predictor: &addrpred.Config{Entries: 64}}
+	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(64)}}
 	m := sim(t, cfg, src)
 	// The ring hops 0 -> 32 -> 96 -> 0 ... with unequal strides, so the
 	// stride machine stays in learning most of the time.
@@ -144,10 +146,7 @@ func TestPredictPathUselessOnRandomAddresses(t *testing.T) {
 }
 
 func TestEarlyPathZeroCycleLoads(t *testing.T) {
-	cfg := Config{
-		Select:   SelCompiler,
-		RegCache: &earlycalc.Config{Entries: 1},
-	}
+	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
 	// Stable base register: every ld_e after the first should forward
 	// with zero effective latency.
 	m := sim(t, cfg, loopOf(10000, `
@@ -166,10 +165,7 @@ func TestEarlyPathZeroCycleLoads(t *testing.T) {
 }
 
 func TestEarlyPathBindingSwitchMisses(t *testing.T) {
-	cfg := Config{
-		Select:   SelCompiler,
-		RegCache: &earlycalc.Config{Entries: 1},
-	}
+	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
 	// Two ld_e loads alternating base registers: each rebinds R_addr,
 	// so each misses (the "binding just switched" case).
 	m := sim(t, cfg, loopOf(10000, `
@@ -180,7 +176,7 @@ func TestEarlyPathBindingSwitchMisses(t *testing.T) {
 		t.Errorf("alternating bindings should mostly miss: %+v", m.Early)
 	}
 	// With two cached registers both bases stay resident.
-	cfg.RegCache = &earlycalc.Config{Entries: 2}
+	cfg.Mechanisms = []mech.Spec{rcSpec(2)}
 	m2 := sim(t, cfg, loopOf(10000, `
 		ld8_e r1, r20(0)
 		ld8_e r2, r21(0)
@@ -191,10 +187,7 @@ func TestEarlyPathBindingSwitchMisses(t *testing.T) {
 }
 
 func TestMemInterlockSuppressesForwarding(t *testing.T) {
-	cfg := Config{
-		Select:   SelCompiler,
-		RegCache: &earlycalc.Config{Entries: 1},
-	}
+	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
 	// A store to the loaded address right before the load: the
 	// speculative data would be stale, so the formula must veto it.
 	m := sim(t, cfg, loopOf(10000, `
@@ -307,11 +300,7 @@ func TestSelectionPolicyNames(t *testing.T) {
 }
 
 func TestHWDualSteering(t *testing.T) {
-	cfg := Config{
-		Select:    SelHWDual,
-		Predictor: &addrpred.Config{Entries: 256},
-		RegCache:  &earlycalc.Config{Entries: 16},
-	}
+	cfg := Config{Select: SelHWDual, Mechanisms: []mech.Spec{predSpec(256), rcSpec(16)}}
 	// A chase load (base interlocked) must be steered to the predictor.
 	m := sim(t, cfg, `
 		.data
@@ -383,7 +372,7 @@ func TestConfigFillDefaults(t *testing.T) {
 		t.Errorf("latency defaults: %+v", c)
 	}
 	pc := PaperCompilerDirected()
-	if pc.Predictor.Entries != 256 || pc.RegCache.Entries != 1 || pc.Select != SelCompiler {
+	if want := []mech.Spec{predSpec(256), rcSpec(1)}; !reflect.DeepEqual(pc.Mechanisms, want) || pc.Select != SelCompiler {
 		t.Errorf("paper config wrong: %+v", pc)
 	}
 }
@@ -438,7 +427,7 @@ func TestStageTraceRecordsAndRenders(t *testing.T) {
 }
 
 func TestStageTraceMarksForwardedLoads(t *testing.T) {
-	cfg := Config{Select: SelCompiler, RegCache: &earlycalc.Config{Entries: 1}}
+	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
 	p := asmtest.MustAssemble(t, loopOf(50, `
 		ld8_e r1, r20(0)
 		add r2, r1, 1

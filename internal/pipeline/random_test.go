@@ -6,10 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"elag/internal/addrpred"
 	"elag/internal/asm"
-	"elag/internal/earlycalc"
 	"elag/internal/emu"
+	"elag/internal/mech"
 )
 
 // genProgram builds a random but well-formed program: a loop over a mix of
@@ -56,12 +55,10 @@ func genProgram(seed int64) string {
 func TestRandomProgramsAllConfigsAgree(t *testing.T) {
 	cfgs := []Config{
 		{},
-		{Select: SelCompiler, Predictor: &addrpred.Config{Entries: 64},
-			RegCache: &earlycalc.Config{Entries: 1}},
-		{Select: SelAllPredict, Predictor: &addrpred.Config{Entries: 16}},
-		{Select: SelAllEarly, RegCache: &earlycalc.Config{Entries: 4}},
-		{Select: SelHWDual, Predictor: &addrpred.Config{Entries: 64},
-			RegCache: &earlycalc.Config{Entries: 4}},
+		{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(64), rcSpec(1)}},
+		{Select: SelAllPredict, Mechanisms: []mech.Spec{predSpec(16)}},
+		{Select: SelAllEarly, Mechanisms: []mech.Spec{rcSpec(4)}},
+		{Select: SelHWDual, Mechanisms: []mech.Spec{predSpec(64), rcSpec(4)}},
 	}
 	for seed := int64(1); seed <= 25; seed++ {
 		src := genProgram(seed)

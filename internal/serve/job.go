@@ -50,8 +50,8 @@ type JobSpec struct {
 	// Workload names a built-in benchmark instead of Source (simulate
 	// jobs), e.g. "023.eqntott".
 	Workload string `json:"workload,omitempty"`
-	// Opt is the optimization level for compile jobs ("O0".."O3", default
-	// the standard pipeline).
+	// Opt is the optimization level for compile jobs: "0", "1" or "2"
+	// (or "O0".."O2"; default O2, the standard pipeline).
 	Opt string `json:"opt,omitempty"`
 
 	// Configs are the batch cells of a simulate job, replayed from one
@@ -83,11 +83,13 @@ type ConfigSpec struct {
 	Name  string `json:"name"`
 	Table int    `json:"table,omitempty"`
 	Regs  int    `json:"regs,omitempty"`
-	// Mech, when set, attaches a load-acceleration mechanism from the
-	// registry to the named configuration, in the canonical
-	// "kind[:entries[xassoc]]" form (e.g. "stride:256", "pcax:256x4").
-	// Assist mechanisms are mutually exclusive with the paper structures,
-	// so Mech normally rides on Name "base".
+	// Mech, when set, attaches an assist mechanism from the registry to
+	// the named configuration, in the canonical "kind[:entries[xassoc]]"
+	// form (e.g. "stride:256", "pcax:256x4"). Assists are mutually
+	// exclusive with the paper structures, so Mech rides on Name "base";
+	// the paper structures themselves are sized by Table and Regs, and a
+	// paper-kind Mech is rejected (the named configuration either has
+	// that structure already or never uses it).
 	Mech string `json:"mech,omitempty"`
 }
 

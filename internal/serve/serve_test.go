@@ -298,6 +298,8 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 			`"configs":[{"name":"base"}],"fuel":1000}`,
 		`{"kind":"simulate","source":"int main(){return 0;}",` + // unknown config
 			`"configs":[{"name":"warp"}],"fuel":1000}`,
+		`{"kind":"simulate","source":"int main(){return 0;}",` + // paper structure base never uses
+			`"configs":[{"name":"base","mech":"addrpred:1024"}],"fuel":1000}`,
 		`{"kind":"simulate","source":"int main(){return 0;}",` + // over fuel budget
 			`"configs":[{"name":"base"}],"fuel":999999999999}`,
 		`{"kind":"simulate","source":"int main(){return 0;}",` + // over deadline budget

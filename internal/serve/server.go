@@ -194,9 +194,9 @@ func (s *Server) registerServerMetrics() {
 	// kind's aggregate mech.Stats at scrape time, each series its own
 	// snapshot; the Stats algebra (lookups == hits + misses, allocs <=
 	// trains) holds on the scraped values whenever no fold is in flight,
-	// which is what the chaos suite asserts. Kinds whose specs
-	// normalize to the paper structures (addrpred, earlycalc) account into
-	// the paper counters inside the metrics documents and read zero here.
+	// which is what the chaos suite asserts. The paper kinds (addrpred,
+	// earlycalc) are built as the paper structures, account into the paper
+	// counters inside the metrics documents and read zero here.
 	for _, kind := range mech.Kinds() {
 		read := func(get func(mech.Stats) int64) func() float64 {
 			return func() float64 { return float64(get(s.work.MechStats(kind))) }

@@ -258,8 +258,8 @@ func TestMetricsCounterExactness(t *testing.T) {
 	// whenever no fold is in flight, as here, where every job is terminal;
 	// chaos cannot break it (a panicked sim contributes nothing, not a
 	// partial row). The stride jobs above ran to completion at least once,
-	// so that kind must show traffic; kinds whose specs normalize to the
-	// paper structures (addrpred, earlycalc) read zero by design.
+	// so that kind must show traffic; the paper kinds (addrpred,
+	// earlycalc), built as the paper structures, read zero by design.
 	for _, kind := range []string{"addrpred", "earlycalc", "pcax", "stride"} {
 		lk := m[`elag_mech_lookups_total{kind="`+kind+`"}`]
 		mh := m[`elag_mech_hits_total{kind="`+kind+`"}`]

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"strings"
 	"testing"
 
 	"elag"
@@ -81,22 +82,13 @@ func TestArchitecturalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: runs several timing configs per workload")
 	}
-	cfgs := map[string]elag.SimConfig{
-		"base":     elag.BaseConfig(),
-		"compiler": elag.CompilerDirectedConfig(),
-		"hw-pred": {
-			Select:    elag.SelAllPredict,
-			Predictor: &elag.PredictorConfig{Entries: 256},
-		},
-		"hw-early": {
-			Select:   elag.SelAllEarly,
-			RegCache: &elag.RegCacheConfig{Entries: 16},
-		},
-		"hw-dual": {
-			Select:    elag.SelHWDual,
-			Predictor: &elag.PredictorConfig{Entries: 256},
-			RegCache:  &elag.RegCacheConfig{Entries: 16},
-		},
+	cfgs := map[string]elag.SimConfig{}
+	for _, name := range strings.Split(elag.ConfigNames, "|") {
+		cfg, err := elag.NamedConfig(name, 256, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs[name] = cfg
 	}
 	for _, w := range workload.All() {
 		p, err := elag.Build(w.Source, elag.BuildOptions{})
