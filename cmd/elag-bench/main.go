@@ -16,8 +16,8 @@
 //	              ("-" for stdout), for the repo's BENCH_*.json trajectory
 //	-parallel N   fan benchmarks across N workers (results are byte-identical
 //	              at every setting; wall time is reported on stderr)
-//	-chunk N      stream traces in N-entry chunks instead of materializing
-//	              them (peak trace memory O(N) per worker; artifacts are
+//	-chunk N      stream traces in N-entry chunks (0 = the default size;
+//	              peak trace memory O(N) per worker; artifacts are
 //	              byte-identical at every setting)
 //	-cache-dir d  reuse per-row grid results from a content-addressed store
 //	              (default $ELAG_CACHE_DIR; the same store elag-serve and

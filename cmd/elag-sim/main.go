@@ -23,8 +23,9 @@
 //	-all           compare base and all four early-address configurations
 //	               in one batched pass: the program is emulated once and
 //	               every configuration replays each trace chunk in turn
-//	-chunk N       stream the trace in N-entry chunks (bounded memory;
-//	               the printed tables are identical at every setting)
+//	-chunk N       stream the trace in N-entry chunks (0 = the default
+//	               size; bounded memory; the printed tables are identical
+//	               at every setting)
 //	-cache-dir d   reuse results from a content-addressed store (default
 //	               $ELAG_CACHE_DIR; the same store elag-serve persists
 //	               with its -cache-dir, so CLI and daemon runs share it)

@@ -19,8 +19,9 @@
 //	-o dir         output directory (default trace-out)
 //	-top N         worst-loads report length (default 10)
 //	-parallel N    GOMAXPROCS for the run
-//	-chunk N       stream the trace in N-entry chunks (bounded memory;
-//	               artifacts are byte-identical at every setting)
+//	-chunk N       stream the trace in N-entry chunks (0 = the default
+//	               size; bounded memory; artifacts are byte-identical at
+//	               every setting)
 //	-cpuprofile f  write a CPU profile
 //	-memprofile f  write a heap profile at exit
 package main

@@ -25,10 +25,10 @@ type Perf struct {
 	// Parallel is the requested parallelism: the worker-pool size for
 	// grid experiments and the GOMAXPROCS setting for the process.
 	Parallel int
-	// Chunk is the streaming trace chunk size in entries. > 0 streams the
-	// architectural execution in recycled chunks (peak trace memory
-	// O(Chunk), any fuel budget fits in memory); 0 keeps traces resident.
-	// Results are bit-identical either way.
+	// Chunk is the streaming trace chunk size in entries; 0 means the
+	// default size. The architectural execution always streams in
+	// recycled chunks (peak trace memory O(Chunk), any fuel budget fits in
+	// memory). Results are bit-identical at every setting.
 	Chunk int
 	// Timeout, when > 0, bounds the whole run's wall time: Context()
 	// carries the deadline, and every simulation/grid entry point checks
@@ -55,7 +55,7 @@ func PerfFlags() *Perf {
 	flag.IntVar(&p.Parallel, "parallel", runtime.GOMAXPROCS(0),
 		"parallelism (worker pool size; results are identical at any value)")
 	flag.IntVar(&p.Chunk, "chunk", 0,
-		"stream traces in chunks of this many entries (0 = materialize; results identical)")
+		"stream traces in chunks of this many entries (0 = the default size; results identical)")
 	flag.DurationVar(&p.Timeout, "timeout", 0,
 		"wall-clock deadline for the run (e.g. 30s, 5m; 0 = none)")
 	flag.StringVar(&p.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -122,7 +122,7 @@ func (p *Perf) Start(tool string) {
 }
 
 // sampleHeap polls HeapAlloc until Stop, tracking the high-water mark. A
-// 10ms tick is frequent enough to catch a resident multi-megabyte trace yet
+// 10ms tick is frequent enough to catch a multi-megabyte allocation yet
 // cheap enough to never show in profiles.
 func (p *Perf) sampleHeap() {
 	defer p.sampleDone.Done()

@@ -530,15 +530,22 @@ func Speedup(p *Program, cfg SimConfig, fuel int64) (float64, error) {
 // StageView simulates the first n dynamic instructions under cfg and
 // renders their pipeline stage occupancy as a text timeline (F fetch,
 // D decode/stall, X execute, M memory); forwarded loads are marked with
-// their effective latency (0 or 1).
+// their effective latency (0 or 1). Only the drawn instructions are
+// emulated: fuel caps them when it is smaller than n, and fuel <= 0
+// means n.
 func (p *Program) StageView(cfg SimConfig, fuel int64, n int) (string, error) {
-	_, trace, err := emu.RunTrace(p.Machine, fuel, true)
-	if err != nil && !errors.Is(err, emu.ErrFuel) {
-		return "", err
-	}
-	trace = trace.Prefix(n)
 	sim, err := pipeline.New(cfg, p.Machine, nil)
 	if err != nil {
+		return "", err
+	}
+	if n <= 0 {
+		return "", nil
+	}
+	if fuel <= 0 || fuel > int64(n) {
+		fuel = int64(n)
+	}
+	_, trace, err := emu.RunTrace(p.Machine, fuel)
+	if err != nil && !errors.Is(err, emu.ErrFuel) {
 		return "", err
 	}
 	sim.EnableStageTrace(n)

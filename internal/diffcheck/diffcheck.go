@@ -180,7 +180,7 @@ func Check(prog *isa.Program, opt Options) (*Report, error) {
 	}
 	rep := &Report{Cycles: make(map[string]int64, len(configs))}
 
-	res, trace, err := emu.RunTrace(prog, opt.Fuel, true)
+	res, trace, err := emu.RunTrace(prog, opt.Fuel)
 	if err != nil {
 		if !errors.Is(err, emu.ErrFuel) {
 			return nil, fmt.Errorf("reference emulation: %w", err)
@@ -224,7 +224,7 @@ func Check(prog *isa.Program, opt Options) (*Report, error) {
 	// touched the program image, and re-emulating now must reproduce the
 	// reference result bit for bit.
 	checkSnapshot(prog, instSnap, dataSnap, rep)
-	res2, trace2, err2 := emu.RunTrace(prog, opt.Fuel, true)
+	res2, trace2, err2 := emu.RunTrace(prog, opt.Fuel)
 	if err2 != nil && !errors.Is(err2, emu.ErrFuel) {
 		rep.failf("", "re-emulation", "faulted after pipeline replay: %v", err2)
 	} else {

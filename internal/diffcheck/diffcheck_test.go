@@ -69,7 +69,7 @@ func TestRandomPrograms(t *testing.T) {
 func TestGenProgramsTerminate(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		p := asmtest.MustAssemble(t, GenProgram(seed))
-		if _, _, err := emu.RunTrace(p, 400_000, false); err != nil {
+		if _, err := emu.Run(p, 400_000); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestGenProgramsTerminate(t *testing.T) {
 // actually fail.
 func TestLockstepCatchesTraceCorruption(t *testing.T) {
 	p := asmtest.MustAssemble(t, GenProgram(3))
-	_, trace, err := emu.RunTrace(p, 400_000, true)
+	_, trace, err := emu.RunTrace(p, 400_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestClassMismatchCaught(t *testing.T) {
 // degenerate MaxCPI.
 func TestWatchdogConfigured(t *testing.T) {
 	p := asmtest.MustAssemble(t, GenProgram(7))
-	_, trace, err := emu.RunTrace(p, 400_000, true)
+	_, trace, err := emu.RunTrace(p, 400_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, _ := emu.RunTrace(p, 400_000, false)
+	res, _ := emu.Run(p, 400_000)
 	rep := &Report{Cycles: map[string]int64{}}
 	// MaxCPI of 0 would take the default; force the smallest legal
 	// ceiling and expect the watchdog to fire (real CPI > 0.2 always,

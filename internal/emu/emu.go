@@ -346,68 +346,6 @@ func (t *Trace) At(i int) TraceEntry {
 	}
 }
 
-// Prefix returns a view of the first n entries (t itself if n >= Len).
-// The view shares the underlying columns; neither may be mutated.
-func (t *Trace) Prefix(n int) *Trace {
-	if n >= t.Len() {
-		return t
-	}
-	if n < 0 {
-		n = 0
-	}
-	return &Trace{
-		PC:      t.PC[:n],
-		NextPC:  t.NextPC[:n],
-		EA:      t.EA[:n],
-		BaseVal: t.BaseVal[:n],
-		Taken:   t.Taken[:n],
-	}
-}
-
-// Slice returns a view of entries [lo, hi), with Seq0 advanced so the
-// view's sequence numbers match the parent's. The view shares the
-// underlying columns; neither may be mutated. Batched replay walks a
-// materialized trace in cache-sized windows this way without copying.
-func (t *Trace) Slice(lo, hi int) *Trace {
-	return &Trace{
-		Seq0:    t.Seq0 + int64(lo),
-		PC:      t.PC[lo:hi],
-		NextPC:  t.NextPC[lo:hi],
-		EA:      t.EA[lo:hi],
-		BaseVal: t.BaseVal[lo:hi],
-		Taken:   t.Taken[lo:hi],
-	}
-}
-
-// Chunks walks a materialized trace in consecutive windows of at most
-// chunkSize entries, calling yield with a view of each (Seq0 advanced per
-// window). One view header is reused across the walk; like StreamTrace
-// chunks it is only valid until yield returns. chunkSize <= 0 yields the
-// whole trace in one window.
-func (t *Trace) Chunks(chunkSize int, yield func(*Trace) error) error {
-	n := t.Len()
-	if chunkSize <= 0 || chunkSize >= n {
-		return yield(t)
-	}
-	var view Trace
-	for lo := 0; lo < n; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		view.Seq0 = t.Seq0 + int64(lo)
-		view.PC = t.PC[lo:hi]
-		view.NextPC = t.NextPC[lo:hi]
-		view.EA = t.EA[lo:hi]
-		view.BaseVal = t.BaseVal[lo:hi]
-		view.Taken = t.Taken[lo:hi]
-		if err := yield(&view); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // reset empties the trace for reuse as the next chunk, keeping the column
 // capacity and advancing Seq0 to the given sequence number.
 func (t *Trace) reset(seq0 int64) {
@@ -441,89 +379,19 @@ func (t *Trace) push(te *TraceEntry) {
 // Run executes prog to completion (or until fuel instructions have retired)
 // and returns the run summary. fuel <= 0 means a generous default.
 func Run(prog *isa.Program, fuel int64) (Result, error) {
-	r, err := runTrace(prog, fuel, nil)
-	return r, err
+	return runTrace(prog, fuel, nil)
 }
 
-// RunContext is Run with cooperative cancellation, checked every
-// DefaultChunkSize instructions. An uncancelled run is identical to Run.
-func RunContext(ctx context.Context, prog *isa.Program, fuel int64) (Result, error) {
-	if fuel <= 0 {
-		fuel = 200_000_000
-	}
-	c := New(prog)
-	next := int64(DefaultChunkSize)
-	for !c.Halted() {
-		if n := c.res.DynamicInsts; n >= next {
-			if err := ctx.Err(); err != nil {
-				return c.res, err
-			}
-			next = n + DefaultChunkSize
-		}
-		if c.res.DynamicInsts >= fuel {
-			return c.res,
-				&isa.Fault{Kind: isa.FaultFuel, PC: c.PC, SeqNum: c.res.DynamicInsts}
-		}
-		if err := c.Step(nil); err != nil {
-			return c.res, err
-		}
-	}
-	return c.res, nil
-}
-
-// RunTrace executes prog and, if wantTrace is true, also returns the full
-// dynamic instruction trace for replay by the timing model. The trace
-// columns are sized exactly: a traceless dry run counts the retired
-// instructions first (emulation is deterministic, so the count is exact).
-// Callers that already know the dynamic instruction count — e.g. from a
-// prior run's Result — should use RunTraceHint and skip the dry pass.
-func RunTrace(prog *isa.Program, fuel int64, wantTrace bool) (Result, *Trace, error) {
-	if !wantTrace {
-		res, err := runTrace(prog, fuel, nil)
-		return res, nil, err
-	}
-	// The dry pass's error (if any) recurs identically in the traced pass.
+// RunTrace executes prog and also returns the full dynamic instruction
+// trace for replay by the timing model. The trace columns are sized
+// exactly: a traceless dry run counts the retired instructions first
+// (emulation is deterministic, so the count is exact, and the dry pass's
+// error, if any, recurs identically in the traced pass).
+func RunTrace(prog *isa.Program, fuel int64) (Result, *Trace, error) {
 	dry, _ := runTrace(prog, fuel, nil)
-	return RunTraceHint(prog, fuel, dry.DynamicInsts)
-}
-
-// RunTraceHint is RunTrace with a caller-supplied capacity hint (typically
-// Result.DynamicInsts of an earlier run under the same fuel, which makes it
-// exact). An underestimate merely reintroduces append growth.
-func RunTraceHint(prog *isa.Program, fuel, hint int64) (Result, *Trace, error) {
-	t := NewTrace(int(hint))
+	t := NewTrace(int(dry.DynamicInsts))
 	res, err := runTrace(prog, fuel, t)
 	return res, t, err
-}
-
-// RunTraceHintContext is RunTraceHint with cooperative cancellation,
-// checked every DefaultChunkSize instructions like StreamTraceContext. An
-// uncancelled run produces a trace byte-identical to RunTraceHint's.
-func RunTraceHintContext(ctx context.Context, prog *isa.Program, fuel, hint int64) (Result, *Trace, error) {
-	t := NewTrace(int(hint))
-	if fuel <= 0 {
-		fuel = 200_000_000
-	}
-	c := New(prog)
-	var te TraceEntry
-	next := int64(DefaultChunkSize)
-	for !c.Halted() {
-		if n := c.res.DynamicInsts; n >= next {
-			if err := ctx.Err(); err != nil {
-				return c.res, t, err
-			}
-			next = n + DefaultChunkSize
-		}
-		if c.res.DynamicInsts >= fuel {
-			return c.res, t,
-				&isa.Fault{Kind: isa.FaultFuel, PC: c.PC, SeqNum: c.res.DynamicInsts}
-		}
-		if err := c.Step(&te); err != nil {
-			return c.res, t, err
-		}
-		t.push(&te)
-	}
-	return c.res, t, nil
 }
 
 // DefaultChunkSize is the streaming chunk size used when a caller passes

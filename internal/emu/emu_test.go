@@ -150,7 +150,7 @@ func TestTraceRecordsLoadsAndBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, trace, err := RunTrace(p, 1000, true)
+	res, trace, err := RunTrace(p, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

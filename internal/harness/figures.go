@@ -63,30 +63,19 @@ func (r *Runner) figure(ctx context.Context, exp, title string, suite workload.S
 		labels[i] = s.label
 	}
 	// One benchmark's column of cells is a single unit of work (and of
-	// caching): its lab (and trace) is built once and all series
-	// configurations advance through the trace in a single batched pass.
+	// caching): its lab is built once and all series configurations
+	// advance through one streamed emulation in a single batched pass.
 	cols := make([]figureColumn, len(benches))
 	err := r.forEachLabCached(ctx, exp, labels, benches,
 		func(i int) any { return &cols[i] },
 		func(ctx context.Context, bi int, l *Lab) error {
-			base, err := l.BaseCycles(ctx)
-			if err != nil {
-				return fmt.Errorf("%s: base: %w", l.W.Name, err)
-			}
 			specs := make([]pipeline.BatchSpec, len(series))
 			for i := range series {
 				specs[i] = series[i].spec(l)
 			}
-			ms, err := l.SimulateBatch(ctx, specs)
+			sp, err := l.Speedups(ctx, specs)
 			if err != nil {
-				return fmt.Errorf("%s: %w", l.W.Name, err)
-			}
-			sp := make([]float64, len(series))
-			for i, m := range ms {
-				if m.Cycles == 0 {
-					return fmt.Errorf("%s/%s: zero cycles", series[i].label, l.W.Name)
-				}
-				sp[i] = float64(base) / float64(m.Cycles)
+				return err
 			}
 			cols[bi].Speedups = sp
 			r.logf("%s done", l.W.Name)

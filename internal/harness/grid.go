@@ -10,8 +10,9 @@ import (
 
 // Grid scheduling: every experiment is a (benchmark, configuration) grid.
 // The unit of dispatch is a whole benchmark — its lab is built once and
-// every configuration cell replays the same resident trace — so workers
-// have benchmark affinity and never contend for a lab. Each cell writes a
+// every configuration cell rides one batched replay of its streamed
+// emulation — so workers have benchmark affinity and never contend for a
+// lab. Each cell writes a
 // preallocated slot indexed by benchmark, and callers aggregate (averages,
 // row ordering) in benchmark order afterwards; with per-cell results
 // independent of scheduling, the output is bit-identical at every worker

@@ -1,16 +1,18 @@
 // Package harness regenerates the paper's evaluation: Tables 2-4 and
 // Figures 5a-5c, over the workload suite of package workload. Each
-// benchmark is compiled once; its dynamic trace is generated once and
-// replayed under every hardware configuration, exactly like the paper's
-// emulation-driven methodology.
+// benchmark is compiled, classified and profiled once per Runner (its
+// Lab); every replay then re-emulates it and streams the dynamic trace
+// through a batch of hardware configurations, exactly like the paper's
+// emulation-driven methodology. No trace is ever materialized, so a lab is
+// small and a Runner keeps every lab it builds.
 //
 // Experiments optionally fan out across a worker pool (Runner.Parallel)
 // with benchmark affinity: one worker owns a benchmark's whole column of
-// (benchmark, configuration) cells, so each multi-megabyte trace is built
-// once and stays worker-local. Labs are immutable after construction —
-// per-simulation load flavours travel as overlays, never as program
-// mutations — so every cell is data-race-free and the results (cycle
-// counts, speedups, averages) are bit-identical at any parallelism level.
+// (benchmark, configuration) cells and replays them in one streamed pass.
+// Labs are immutable after construction — per-simulation load flavours
+// travel as overlays, never as program mutations — so every cell is
+// data-race-free and the results (cycle counts, speedups, averages) are
+// bit-identical at any parallelism level.
 package harness
 
 import (
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"elag"
 	"elag/internal/artifact"
@@ -46,17 +49,10 @@ type Runner struct {
 	// serially. Results are identical at every setting — parallelism
 	// changes wall time only.
 	Parallel int
-	// MaxResident bounds how many labs (each holding a multi-megabyte
-	// trace) stay cached; 0 derives a bound from Parallel. Labs in use
-	// are never invalidated by eviction — the cache only drops its own
-	// reference.
-	MaxResident int
-	// ChunkSize, when > 0, puts labs in streaming mode: the dynamic trace
-	// is never materialized, and every simulation re-streams the
-	// architectural execution in chunks of this many entries (peak trace
-	// memory O(ChunkSize), enabling fuel budgets whose traces could never
-	// fit in memory). 0 keeps the trace resident and walks it in
-	// emu.DefaultChunkSize windows. Results are bit-identical either way.
+	// ChunkSize is the replay stream's chunk size in trace entries; 0
+	// means emu.DefaultChunkSize. Every replay re-streams the
+	// architectural execution, so peak trace memory is O(ChunkSize) at
+	// any fuel. Results are bit-identical at every setting.
 	ChunkSize int
 	// Counters, when non-nil, receives work-volume telemetry (lab-cache
 	// hits/misses, replayed chunks and entries). Purely observational:
@@ -78,19 +74,17 @@ type Runner struct {
 
 	logMu sync.Mutex
 
-	labMu  sync.Mutex
-	labs   map[string]*labEntry
-	labSeq int64
+	labMu sync.Mutex
+	labs  map[string]*labEntry
 }
 
 // labEntry is one cache slot. ready is closed once l/err are set;
 // concurrent requests for the same benchmark wait on it instead of
 // building twice (single-flight).
 type labEntry struct {
-	ready   chan struct{}
-	l       *Lab
-	err     error
-	lastUse int64
+	ready chan struct{}
+	l     *Lab
+	err   error
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -109,24 +103,13 @@ func (r *Runner) workers() int {
 	return 1
 }
 
-// maxResident returns the lab-cache bound: at least one lab per worker
-// plus one, so affinity-scheduled grids never thrash their own columns.
-func (r *Runner) maxResident() int {
-	if r.MaxResident > 0 {
-		return r.MaxResident
-	}
-	n := r.workers() + 1
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-// Lab is one benchmark prepared for experiments: compiled, classified,
-// profiled, and traced. A Lab is immutable once built — simulations pick a
-// classification by passing one of the flavour overlays (or nil for the
-// program's baked-in flavours), and any number of simulations may share
-// the lab concurrently.
+// Lab is one benchmark prepared for experiments: compiled, classified and
+// profiled. It holds no trace — every simulation re-streams the
+// architectural execution — so peak memory stays O(chunk) regardless of
+// fuel. A Lab is immutable once built — simulations pick a classification
+// by passing one of the flavour overlays (or nil for the program's
+// baked-in flavours), and any number of simulations may share the lab
+// concurrently.
 type Lab struct {
 	W *workload.Workload
 	// Prog is the compiled program. Its instruction stream is never
@@ -142,29 +125,26 @@ type Lab struct {
 	ReclassFlavors isa.FlavorOverlay
 	// Profile holds per-load unlimited-table prediction rates.
 	Profile *profile.LoadProfile
-	// Trace is the architectural dynamic trace replayed by the timing
-	// model. In streaming mode (Runner.ChunkSize > 0) it is nil — each
-	// simulation re-streams the execution instead — so peak memory stays
-	// O(chunk) regardless of fuel. EmuRes summarizes the architectural
-	// run in both modes.
-	Trace  *emu.Trace
+	// EmuRes summarizes the architectural run: the profiler's emulation,
+	// under the same fuel every replay streams.
 	EmuRes emu.Result
 
 	fuel     int64     // runner fuel, for streaming re-emulation
-	chunk    int       // streaming chunk size (0 = materialized)
+	chunk    int       // streaming chunk size (0 = emu.DefaultChunkSize)
 	counters *Counters // work telemetry (Runner.Counters; may be nil)
 
-	baseMu     sync.Mutex
-	baseDone   bool
-	baseCycles int64
+	// baseCycles caches the base architecture's cycle count once a
+	// Speedups call has measured it; 0 means not yet measured.
+	baseCycles atomic.Int64
 }
 
 // Lab prepares the lab for one workload, returning a cached one when
 // available. Concurrent callers requesting the same benchmark share one
-// build; distinct benchmarks build independently. The cache keeps at most
-// maxResident labs, evicting least-recently-used ones.
+// build; distinct benchmarks build independently. The Runner keeps every
+// lab it builds for its lifetime: labs hold no trace, and the grids only
+// ever build the fixed workload suite.
 //
-// ctx bounds the build (compile, profile, trace): a cancelled ctx aborts
+// ctx bounds the build (compile, profile): a cancelled ctx aborts
 // with the ctx error. When the single-flight build a caller was waiting on
 // fails because the *builder's* ctx was cancelled, a waiter whose own ctx
 // is still live retries the build instead of inheriting the cancellation —
@@ -192,9 +172,7 @@ func (r *Runner) labOnce(ctx context.Context, w *workload.Workload) (*Lab, error
 	if r.labs == nil {
 		r.labs = make(map[string]*labEntry)
 	}
-	r.labSeq++
 	if e, ok := r.labs[w.Name]; ok {
-		e.lastUse = r.labSeq
 		r.labMu.Unlock()
 		if r.Counters != nil {
 			r.Counters.LabHits.Add(1)
@@ -205,9 +183,8 @@ func (r *Runner) labOnce(ctx context.Context, w *workload.Workload) (*Lab, error
 	if r.Counters != nil {
 		r.Counters.LabMisses.Add(1)
 	}
-	e := &labEntry{ready: make(chan struct{}), lastUse: r.labSeq}
+	e := &labEntry{ready: make(chan struct{})}
 	r.labs[w.Name] = e
-	r.evictLocked()
 	r.labMu.Unlock()
 
 	e.l, e.err = r.buildLab(ctx, w)
@@ -223,78 +200,36 @@ func (r *Runner) labOnce(ctx context.Context, w *workload.Workload) (*Lab, error
 	return e.l, e.err
 }
 
-// evictLocked drops least-recently-used ready entries until the cache fits
-// the bound. In-flight builds are never evicted. Callers hold labMu.
-func (r *Runner) evictLocked() {
-	max := r.maxResident()
-	for len(r.labs) > max {
-		var victim string
-		var oldest int64
-		for name, e := range r.labs {
-			select {
-			case <-e.ready:
-			default:
-				continue // still building
-			}
-			if victim == "" || e.lastUse < oldest {
-				victim, oldest = name, e.lastUse
-			}
-		}
-		if victim == "" {
-			return
-		}
-		delete(r.labs, victim)
-	}
-}
-
 func (r *Runner) buildLab(ctx context.Context, w *workload.Workload) (*Lab, error) {
 	r.logf("build %s", w.Name)
 	p, err := elag.Build(w.Source, elag.BuildOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	l := &Lab{W: w, Prog: p, Heur: p.Classes,
-		fuel: r.Fuel, chunk: r.ChunkSize, counters: r.Counters}
-
-	lp, profRes, err := profile.CollectContext(ctx, p.Machine, r.Fuel)
+	// The profiler's run is a complete architectural execution under the
+	// same fuel every replay streams, so its Result is the lab's.
+	lp, res, err := profile.CollectContext(ctx, p.Machine, r.Fuel)
 	if err != nil && !errors.Is(err, emu.ErrFuel) {
 		return nil, fmt.Errorf("%s: profile: %w", w.Name, err)
 	}
-	l.Profile = lp
-	l.Reclass = core.Reclassify(l.Heur, lp.Rates(), 0)
-	l.HeurFlavors = l.Heur.Overlay(p.Machine)
-	l.ReclassFlavors = l.Reclass.Overlay(p.Machine)
-
-	if r.ChunkSize > 0 {
-		// Streaming mode: no materialized trace. The profiler's run is a
-		// complete architectural execution under the same fuel, so its
-		// Result stands in for the trace run's.
-		l.EmuRes = profRes
-		return l, nil
-	}
-	// The profiler already emulated this program under the same fuel, so
-	// its retired-instruction count sizes the trace columns exactly.
-	res, trace, err := emu.RunTraceHintContext(ctx, p.Machine, r.Fuel, profRes.DynamicInsts)
-	if err != nil && !errors.Is(err, emu.ErrFuel) {
-		return nil, fmt.Errorf("%s: trace: %w", w.Name, err)
-	}
-	l.Trace = trace
-	l.EmuRes = res
-	return l, nil
+	reclass := core.Reclassify(p.Classes, lp.Rates(), 0)
+	return &Lab{
+		W: w, Prog: p, Profile: lp, EmuRes: res,
+		Heur: p.Classes, HeurFlavors: p.Classes.Overlay(p.Machine),
+		Reclass: reclass, ReclassFlavors: reclass.Overlay(p.Machine),
+		fuel: r.Fuel, chunk: r.ChunkSize, counters: r.Counters,
+	}, nil
 }
 
-// SimulateBatch replays the benchmark's trace under every spec in a single
-// pass — one trace iteration shared by all configurations, each chunk
+// SimulateBatch replays the benchmark under every spec in a single pass —
+// one streamed emulation shared by all configurations, each chunk
 // cache-hot across the whole batch — returning metrics in spec order. A
 // single configuration is a batch of one. Results are bit-identical to
-// len(specs) separate replays. Resident labs walk the cached trace in
-// emu.DefaultChunkSize windows; streaming labs (Runner.ChunkSize > 0)
-// re-emulate the program through recycled chunks and never materialize
-// it. Cancellation is checked between chunks in both modes, so every job
-// through the lab honors its deadline within one chunk of work.
+// len(specs) separate replays. Cancellation is checked between chunks, so
+// every job through the lab honors its deadline within one chunk of work.
 func (l *Lab) SimulateBatch(ctx context.Context, specs []pipeline.BatchSpec) ([]*pipeline.Metrics, error) {
 	ms, _, err := l.counters.Replay(ctx, l.Prog.Machine, specs,
-		pipeline.Options{Fuel: l.fuel, Chunk: l.chunk, Trace: l.Trace})
+		pipeline.Options{Fuel: l.fuel, Chunk: l.chunk})
 	return ms, err
 }
 
@@ -303,41 +238,34 @@ func (l *Lab) SimulateBatch(ctx context.Context, specs []pipeline.BatchSpec) ([]
 func (l *Lab) heurFlavors() isa.FlavorOverlay    { return l.HeurFlavors }
 func (l *Lab) reclassFlavors() isa.FlavorOverlay { return l.ReclassFlavors }
 
-// BaseCycles returns (caching) the cycle count of the base architecture,
-// the denominator of every speedup in Section 5. Safe for concurrent use;
-// the base simulation runs at most once per lab. Only success is cached:
-// a simulation cancelled by ctx returns the ctx error without poisoning
-// the lab, so a later caller (or the same grid re-run) computes the value
-// fresh — cached labs stay byte-identical across cancel-and-retry.
-func (l *Lab) BaseCycles(ctx context.Context) (int64, error) {
-	l.baseMu.Lock()
-	defer l.baseMu.Unlock()
-	if l.baseDone {
-		return l.baseCycles, nil
+// Speedups replays specs in one batch and returns each one's speedup
+// over the base architecture (pipeline.PaperBase, the denominator of every
+// speedup in Section 5), in spec order. The base replay rides in the batch
+// of the lab's first call and its cycle count is cached for later ones, so
+// every call streams the program exactly once. Only success is cached: a
+// replay cancelled by ctx returns the ctx error without poisoning the lab.
+func (l *Lab) Speedups(ctx context.Context, specs []pipeline.BatchSpec) ([]float64, error) {
+	base := l.baseCycles.Load()
+	if base == 0 {
+		specs = append([]pipeline.BatchSpec{{Config: pipeline.PaperBase()}}, specs...)
 	}
-	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: pipeline.PaperBase()}})
+	ms, err := l.SimulateBatch(ctx, specs)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("%s: %w", l.W.Name, err)
 	}
-	l.baseCycles = ms[0].Cycles
-	l.baseDone = true
-	return l.baseCycles, nil
-}
-
-// Speedup simulates cfg under flavors and returns baseCycles/cycles.
-func (l *Lab) Speedup(ctx context.Context, cfg pipeline.Config, flavors isa.FlavorOverlay) (float64, error) {
-	base, err := l.BaseCycles(ctx)
-	if err != nil {
-		return 0, err
+	if base == 0 {
+		base = ms[0].Cycles
+		l.baseCycles.Store(base)
+		ms = ms[1:]
 	}
-	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: cfg, Flavors: flavors}})
-	if err != nil {
-		return 0, err
+	sp := make([]float64, len(ms))
+	for i, m := range ms {
+		if m.Cycles == 0 {
+			return nil, fmt.Errorf("%s: spec %d: zero cycles", l.W.Name, i)
+		}
+		sp[i] = float64(base) / float64(m.Cycles)
 	}
-	if ms[0].Cycles == 0 {
-		return 0, fmt.Errorf("%s: zero cycles", l.W.Name)
-	}
-	return float64(base) / float64(ms[0].Cycles), nil
+	return sp, nil
 }
 
 // Standard hardware configurations of Section 5, expressed as mechanism

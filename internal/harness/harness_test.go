@@ -1,10 +1,13 @@
 package harness_test
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"elag/internal/harness"
+	"elag/internal/pipeline"
 	"elag/internal/workload"
 )
 
@@ -27,18 +30,20 @@ func TestLabPreparesEverything(t *testing.T) {
 	if l.Heur == nil || l.Reclass == nil || l.Profile == nil {
 		t.Fatalf("lab incomplete")
 	}
-	if l.Trace.Len() == 0 {
-		t.Fatalf("no trace collected")
+	if l.EmuRes.DynamicInsts == 0 {
+		t.Fatalf("no architectural run recorded")
 	}
-	if int64(l.Trace.Len()) != l.EmuRes.DynamicInsts {
-		t.Fatalf("trace length %d != retired %d", l.Trace.Len(), l.EmuRes.DynamicInsts)
-	}
-	base, err := l.BaseCycles(ctx)
+	// The lab's result is the profiler's run; a replay re-streams the same
+	// execution, so it retires exactly as many instructions.
+	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: pipeline.PaperBase()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base <= 0 {
-		t.Fatalf("base cycles = %d", base)
+	if ms[0].Insts != l.EmuRes.DynamicInsts {
+		t.Fatalf("base replay retired %d, lab recorded %d", ms[0].Insts, l.EmuRes.DynamicInsts)
+	}
+	if ms[0].Cycles <= 0 {
+		t.Fatalf("base cycles = %d", ms[0].Cycles)
 	}
 	// Lab caching: same pointer for the same workload.
 	l2, err := r.Lab(ctx, workload.Get("023.eqntott"))
@@ -56,12 +61,66 @@ func TestSpeedupsAtLeastNotAbsurd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := l.Speedup(ctx, harness.CompilerDual(), l.HeurFlavors)
+	specs := []pipeline.BatchSpec{{Config: harness.CompilerDual(), Flavors: l.HeurFlavors}}
+	sp, err := l.Speedups(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp < 0.9 || sp > 4 {
-		t.Errorf("espresso compiler-dual speedup = %.2f out of plausible range", sp)
+	if sp[0] < 0.9 || sp[0] > 4 {
+		t.Errorf("espresso compiler-dual speedup = %.2f out of plausible range", sp[0])
+	}
+	// The first call measured the base architecture in its batch; a
+	// second call reuses that count and must agree bit for bit.
+	again, err := l.Speedups(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != sp[0] {
+		t.Errorf("second Speedups call = %v, first = %v", again[0], sp[0])
+	}
+}
+
+// TestDocumentBuildsEachLabOnce: a full Document builds every workload's
+// lab exactly once and streams each lab once per replaying experiment —
+// the SPEC labs for table3, fig5a, fig5b and fig5c, the MediaBench labs
+// for table4 and embedded. The base architecture rides in each lab's first
+// speedup batch, so it costs no stream of its own.
+func TestDocumentBuildsEachLabOnce(t *testing.T) {
+	var log bytes.Buffer
+	c := &harness.Counters{}
+	r := &harness.Runner{Fuel: 20_000, Log: &log, Counters: c}
+	if _, err := r.Document(ctx); err != nil {
+		t.Fatal(err)
+	}
+	builds := map[string]int{}
+	for _, line := range strings.Split(log.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "build "); ok {
+			builds[name]++
+		}
+	}
+	all := workload.All()
+	if got := c.LabMisses.Load(); got != int64(len(all)) {
+		t.Errorf("built %d labs, want %d", got, len(all))
+	}
+	insts := c.Insts.Load()
+	var want int64
+	for _, w := range all {
+		if builds[w.Name] != 1 {
+			t.Errorf("%s: built %d times, want once", w.Name, builds[w.Name])
+		}
+		l, err := r.Lab(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch w.Suite {
+		case workload.SPEC:
+			want += 4 * l.EmuRes.DynamicInsts
+		case workload.Media:
+			want += 2 * l.EmuRes.DynamicInsts
+		}
+	}
+	if insts != want {
+		t.Errorf("streamed %d entries, want %d (4 per SPEC lab instruction, 2 per MediaBench)", insts, want)
 	}
 }
 

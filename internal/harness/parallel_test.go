@@ -35,41 +35,37 @@ func artifactJSON(t *testing.T, r *harness.Runner) []byte {
 
 // TestParallelDeterminism is the engine's headline guarantee: the grid
 // experiments produce byte-identical artifacts — cycle counts, speedups,
-// float averages and all — at every parallelism level, with traces
-// materialized or streamed. Run under -race this also proves the fan-out is
-// data-race-free.
+// float averages and all — at every parallelism level and stream chunk
+// size. Run under -race this also proves the fan-out is data-race-free.
 func TestParallelDeterminism(t *testing.T) {
 	fuel := int64(120_000)
 	if testing.Short() {
 		fuel = 40_000
 	}
 	want := artifactJSON(t, &harness.Runner{Fuel: fuel, Parallel: 1})
-	variants := []struct {
-		name string
-		r    *harness.Runner
-	}{
-		{"parallel=4", &harness.Runner{Fuel: fuel, Parallel: 4}},
-		{"parallel=8", &harness.Runner{Fuel: fuel, Parallel: 8}},
-		{"parallel=1 streaming", &harness.Runner{Fuel: fuel, Parallel: 1, ChunkSize: 257}},
-		{"parallel=4 streaming", &harness.Runner{Fuel: fuel, Parallel: 4, ChunkSize: 257}},
-		{"parallel=8 streaming", &harness.Runner{Fuel: fuel, Parallel: 8, ChunkSize: 257}},
-	}
-	for _, v := range variants {
-		got := artifactJSON(t, v.r)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s artifacts differ from serial run\nserial: %.200s\ngot:    %.200s",
-				v.name, want, got)
+	for _, parallel := range []int{1, 4, 8} {
+		for _, chunk := range []int{0, 257} {
+			if parallel == 1 && chunk == 0 {
+				continue // the reference run
+			}
+			got := artifactJSON(t, &harness.Runner{Fuel: fuel, Parallel: parallel, ChunkSize: chunk})
+			if !bytes.Equal(got, want) {
+				t.Errorf("parallel=%d chunk=%d artifacts differ from serial run\nserial: %.200s\ngot:    %.200s",
+					parallel, chunk, want, got)
+			}
 		}
 	}
 }
 
 // TestLabSingleFlight: concurrent requests for one benchmark must share a
-// single build and return the same lab.
+// single build and return the same lab, and concurrent speedup passes
+// over that lab — racing to measure its base cycle count — must agree.
 func TestLabSingleFlight(t *testing.T) {
 	r := &harness.Runner{Fuel: 50_000, Parallel: 8}
 	w := workload.Get("023.eqntott")
 	const n = 8
 	labs := make([]*harness.Lab, n)
+	speedups := make([]float64, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -81,6 +77,12 @@ func TestLabSingleFlight(t *testing.T) {
 				return
 			}
 			labs[i] = l
+			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: harness.CompilerDual(), Flavors: l.HeurFlavors}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			speedups[i] = sp[0]
 		}(i)
 	}
 	wg.Wait()
@@ -88,41 +90,8 @@ func TestLabSingleFlight(t *testing.T) {
 		if labs[i] != labs[0] {
 			t.Fatalf("lab %d is a different instance", i)
 		}
-	}
-}
-
-// TestLabCacheEviction: the cache keeps at most MaxResident labs but a
-// re-request transparently rebuilds an evicted one.
-func TestLabCacheEviction(t *testing.T) {
-	r := &harness.Runner{Fuel: 50_000, MaxResident: 2}
-	names := []string{"023.eqntott", "008.espresso", "026.compress"}
-	first := make(map[string]*harness.Lab)
-	for _, name := range names {
-		l, err := r.Lab(ctx, workload.Get(name))
-		if err != nil {
-			t.Fatal(err)
+		if speedups[i] != speedups[0] {
+			t.Fatalf("speedup %d = %v, first = %v", i, speedups[i], speedups[0])
 		}
-		first[name] = l
-	}
-	// The oldest lab was evicted; requesting it again must rebuild (a
-	// fresh instance), and the result must still be usable.
-	l, err := r.Lab(ctx, workload.Get(names[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l == first[names[0]] {
-		t.Errorf("lab for %s not evicted with MaxResident=2", names[0])
-	}
-	if _, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{
-		{Config: harness.CompilerDual(), Flavors: l.HeurFlavors}}); err != nil {
-		t.Fatal(err)
-	}
-	// The most recent lab is still cached.
-	l3, err := r.Lab(ctx, workload.Get(names[2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l3 != first[names[2]] {
-		t.Errorf("most-recent lab was evicted")
 	}
 }

@@ -98,11 +98,7 @@ func allSpecs(l *Lab) []pipeline.BatchSpec {
 // their ns/op ratio is the single-pass speedup.
 func (r *Runner) ReplayBench(ctx context.Context) (*ReplayBenchDoc, error) {
 	benches := workload.BySuite(workload.SPEC)
-	chunk := r.ChunkSize
-	if chunk <= 0 {
-		chunk = emu.DefaultChunkSize
-	}
-	rs := &Runner{Fuel: r.Fuel, ChunkSize: chunk, MaxResident: len(benches) + 1}
+	rs := &Runner{Fuel: r.Fuel, ChunkSize: r.ChunkSize}
 	labs := make([]*Lab, len(benches))
 	var insts int64
 	for i, w := range benches {
@@ -164,7 +160,7 @@ func (r *Runner) ReplayBench(ctx context.Context) (*ReplayBenchDoc, error) {
 		// The pre-batching grid engine: every cell pays its own
 		// architectural execution (materialize + replay).
 		for _, sp := range allSpecs(l) {
-			_, trace, err := emu.RunTrace(l.Prog.Machine, r.Fuel, true)
+			_, trace, err := emu.RunTrace(l.Prog.Machine, r.Fuel)
 			if err != nil && !errors.Is(err, emu.ErrFuel) {
 				return err
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"elag/internal/core"
+	"elag/internal/pipeline"
 	"elag/internal/workload"
 )
 
@@ -109,14 +110,14 @@ func (r *Runner) Table3(ctx context.Context) ([]Table3Row, error) {
 	err := r.forEachLabCached(ctx, "table3", nil, benches,
 		func(i int) any { return &rows[i] },
 		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedup(ctx, CompilerDual(), l.ReclassFlavors)
+			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: CompilerDual(), Flavors: l.ReclassFlavors}})
 			if err != nil {
 				return err
 			}
 			t := tableRow(l, l.Reclass)
 			rows[i] = Table3Row{
 				Name:     l.W.Name,
-				Speedup:  sp,
+				Speedup:  sp[0],
 				StaticPD: t.StaticPD,
 				DynPD:    t.DynPD,
 				RateNT:   t.RateNT,
@@ -167,11 +168,11 @@ func (r *Runner) Table4(ctx context.Context) ([]Table4Row, error) {
 	err := r.forEachLabCached(ctx, "table4", nil, benches,
 		func(i int) any { return &rows[i] },
 		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedup(ctx, CompilerDual(), l.HeurFlavors)
+			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: CompilerDual(), Flavors: l.HeurFlavors}})
 			if err != nil {
 				return err
 			}
-			rows[i] = Table4Row{Table2Row: tableRow(l, l.Heur), Speedup: sp}
+			rows[i] = Table4Row{Table2Row: tableRow(l, l.Heur), Speedup: sp[0]}
 			return nil
 		})
 	if err != nil {

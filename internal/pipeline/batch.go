@@ -76,7 +76,6 @@ func RunChunkBatch(sims []*Sim, chunk *emu.Trace) error {
 // fresh emulation under the default fuel in emu.DefaultChunkSize chunks.
 type Options struct {
 	// Fuel caps emulated instructions; <= 0 means emu's 200M default.
-	// Unused when Trace is set.
 	Fuel int64
 	// Chunk is the replay window in trace entries; <= 0 means
 	// emu.DefaultChunkSize. Results are bit-identical at every setting.
@@ -87,26 +86,22 @@ type Options struct {
 	// gets no access to the sims, so results are byte-identical with or
 	// without it.
 	OnChunk func(done int64, n int)
-	// Trace, when non-nil, is an already-materialized trace of the
-	// program: it is walked in Chunk windows instead of emulating, and
-	// Replay returns the zero emu.Result.
-	Trace *emu.Trace
 }
 
-// Replay emulates prog once, streamed in o.Chunk-entry chunks (or walks
-// o.Trace), and replays every chunk through one Sim per spec, returning
-// the per-spec metrics in spec order plus the architectural result. Peak
-// trace memory of the streamed path is O(o.Chunk) regardless of fuel. ctx
-// is checked between chunks, so a cancelled replay returns the ctx error
-// within one chunk of work. A fuel-truncated run is still replayed —
-// prefix timing is valid timing — so fuel exhaustion is not an error here.
+// Replay emulates prog once, streamed in o.Chunk-entry chunks, and
+// replays every chunk through one Sim per spec, returning the per-spec
+// metrics in spec order plus the architectural result. Peak trace memory
+// is O(o.Chunk) regardless of fuel. ctx is checked between chunks, so a
+// cancelled replay returns the ctx error within one chunk of work. A
+// fuel-truncated run is still replayed — prefix timing is valid timing —
+// so fuel exhaustion is not an error here.
 func Replay(ctx context.Context, prog *isa.Program, specs []BatchSpec, o Options) ([]*Metrics, emu.Result, error) {
 	sims, err := NewBatch(prog, specs)
 	if err != nil {
 		return nil, emu.Result{}, err
 	}
 	var done int64
-	run := func(chunk *emu.Trace) error {
+	res, err := emu.StreamTraceContext(ctx, prog, o.Fuel, o.Chunk, func(chunk *emu.Trace) error {
 		if err := RunChunkBatch(sims, chunk); err != nil {
 			return err
 		}
@@ -115,22 +110,7 @@ func Replay(ctx context.Context, prog *isa.Program, specs []BatchSpec, o Options
 			o.OnChunk(done, chunk.Len())
 		}
 		return nil
-	}
-	var res emu.Result
-	if o.Trace != nil {
-		chunk := o.Chunk
-		if chunk <= 0 {
-			chunk = emu.DefaultChunkSize
-		}
-		err = o.Trace.Chunks(chunk, func(c *emu.Trace) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return run(c)
-		})
-	} else {
-		res, err = emu.StreamTraceContext(ctx, prog, o.Fuel, o.Chunk, run)
-	}
+	})
 	if err != nil && !errors.Is(err, emu.ErrFuel) {
 		return nil, res, err
 	}

@@ -28,7 +28,7 @@ func obsConfig() Config {
 func obsTrace(t *testing.T) (*emu.Trace, *Sim) {
 	t.Helper()
 	p := asmtest.MustAssemble(t, loopOf(3000, obsProgBody))
-	_, trace, err := emu.RunTrace(p, 10_000_000, true)
+	_, trace, err := emu.RunTrace(p, 10_000_000)
 	if err != nil {
 		t.Fatalf("trace: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestPerPCCounterAlgebra(t *testing.T) {
 	} {
 		sel := cfg.Select
 		p := asmtest.MustAssemble(t, loopOf(3000, obsProgBody))
-		_, trace, err := emu.RunTrace(p, 10_000_000, true)
+		_, trace, err := emu.RunTrace(p, 10_000_000)
 		if err != nil {
 			t.Fatalf("trace: %v", err)
 		}

@@ -344,7 +344,7 @@ func TestTraceReplayDeterministic(t *testing.T) {
 		ld8_n r1, r20(0)
 		add r20, r20, 8
 	`))
-	_, trace, err := emu.RunTrace(p, 0, true)
+	_, trace, err := emu.RunTrace(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +384,8 @@ func TestListingHasNoSurprises(t *testing.T) {
 	alt := strings.ReplaceAll(base, "ld8_n", "ld8_p")
 	p1 := asmtest.MustAssemble(t, base)
 	p2 := asmtest.MustAssemble(t, alt)
-	r1, tr1, _ := emu.RunTrace(p1, 0, true)
-	r2, tr2, _ := emu.RunTrace(p2, 0, true)
+	r1, tr1, _ := emu.RunTrace(p1, 0)
+	r2, tr2, _ := emu.RunTrace(p2, 0)
 	if r1.Output() != r2.Output() || tr1.Len() != tr2.Len() {
 		t.Errorf("flavour changed architectural behaviour")
 	}
@@ -396,7 +396,7 @@ func TestStageTraceRecordsAndRenders(t *testing.T) {
 		ld8_n r1, r20(0)
 		add r2, r1, 1
 	`))
-	_, trace, err := emu.RunTrace(p, 0, true)
+	_, trace, err := emu.RunTrace(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestStageTraceMarksForwardedLoads(t *testing.T) {
 		ld8_e r1, r20(0)
 		add r2, r1, 1
 	`))
-	_, trace, err := emu.RunTrace(p, 0, true)
+	_, trace, err := emu.RunTrace(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

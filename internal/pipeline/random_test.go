@@ -66,7 +66,7 @@ func TestRandomProgramsAllConfigsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: assemble: %v\n%s", seed, err, src)
 		}
-		res, trace, err := emu.RunTrace(p, 1_000_000, true)
+		res, trace, err := emu.RunTrace(p, 1_000_000)
 		if err != nil {
 			t.Fatalf("seed %d: emulate: %v", seed, err)
 		}

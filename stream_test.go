@@ -50,7 +50,7 @@ func TestStreamTraceChunkEquivalence(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			p := buildWorkload(t, w)
-			res, trace, err := emu.RunTrace(p.Machine, fuel, true)
+			res, trace, err := emu.RunTrace(p.Machine, fuel)
 			if err != nil && !errors.Is(err, emu.ErrFuel) {
 				t.Fatalf("materialized run: %v", err)
 			}
@@ -149,6 +149,42 @@ func TestStreamBoundedMemory(t *testing.T) {
 	t.Logf("20M insts streamed: %d cycles, peak heap %.1f MB", m.Cycles, float64(peak)/(1<<20))
 }
 
+// TestStageViewEmulatesOnlyDrawn: a stage view draws n instructions, so
+// it emulates only those. At a fuel far beyond n it allocates less than a
+// small bound — a 5M-instruction trace would be ~125 MB — and it draws
+// exactly what a view at fuel n draws.
+func TestStageViewEmulatesOnlyDrawn(t *testing.T) {
+	src, err := os.ReadFile("testdata/stress.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := elag.Build(string(src), elag.BuildOptions{})
+	if err != nil {
+		t.Fatalf("build stress.mc: %v", err)
+	}
+	cfg := elag.CompilerDirectedConfig()
+	const n = 50
+	want, err := p.StageView(cfg, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := p.StageView(cfg, 5_000_000, n)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("view at fuel 5M differs from view at fuel %d:\n%s\nwant:\n%s", n, got, want)
+	}
+	const bound = 8 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Errorf("StageView of %d instructions allocated %.1f MB, want < %d MB",
+			n, float64(alloc)/(1<<20), bound>>20)
+	}
+}
+
 // TestStreamSimulateGolden: the timing metrics and the complete cycle-level
 // event stream of a streamed simulation are bit-identical to one Sim.Run
 // over the materialized trace, on every workload at every chunk size.
@@ -163,7 +199,7 @@ func TestStreamSimulateGolden(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			p := buildWorkload(t, w)
 			recM := &elag.TraceRecorder{}
-			wantRes, trace, err := emu.RunTrace(p.Machine, fuel, true)
+			wantRes, trace, err := emu.RunTrace(p.Machine, fuel)
 			if err != nil && !errors.Is(err, emu.ErrFuel) {
 				t.Fatalf("materialized run: %v", err)
 			}
