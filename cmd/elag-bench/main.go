@@ -14,8 +14,10 @@
 //	-csv dir      write every artifact as CSV into dir (for plotting)
 //	-json file    write every artifact as one schema-versioned JSON document
 //	              ("-" for stdout), for the repo's BENCH_*.json trajectory
-//	-parallel N   fan benchmarks across N workers (results are byte-identical
-//	              at every setting; wall time is reported on stderr)
+//	-parallel N   fan benchmarks across N workers and set GOMAXPROCS to N,
+//	              which also bounds each batch's replay lanes (results are
+//	              byte-identical at every setting; wall time is reported on
+//	              stderr)
 //	-chunk N      stream traces in N-entry chunks (0 = the default size;
 //	              peak trace memory O(N) per worker; artifacts are
 //	              byte-identical at every setting)

@@ -21,8 +21,9 @@
 //	-v             print the full metrics summary (paths, failure terms)
 //	-pipeview N    render the first N instructions' stage timeline
 //	-all           compare base and all four early-address configurations
-//	               in one batched pass: the program is emulated once and
-//	               every configuration replays each trace chunk in turn
+//	               in one batched pass: the program is emulated once, and
+//	               the configurations replay each trace chunk on up to
+//	               -parallel lanes while the next chunk is emulated
 //	-chunk N       stream the trace in N-entry chunks (0 = the default
 //	               size; bounded memory; the printed tables are identical
 //	               at every setting)
@@ -133,7 +134,7 @@ func main() {
 	if !hit {
 		// One batched pass: the program is emulated exactly once and every
 		// configuration (base included) advances through each trace chunk
-		// while it is cache-hot. Rows print in fixed order and are
+		// on its replay lane. Rows print in fixed order and are
 		// bit-identical to independent simulations.
 		specs := make([]elag.BatchSpec, len(cfgSpecs))
 		for i, c := range cfgSpecs {

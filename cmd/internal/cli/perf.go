@@ -23,7 +23,8 @@ import (
 // instead of leaving the process killable only by signal.
 type Perf struct {
 	// Parallel is the requested parallelism: the worker-pool size for
-	// grid experiments and the GOMAXPROCS setting for the process.
+	// grid experiments and the GOMAXPROCS setting for the process, which
+	// also bounds each batched replay's lanes (pipeline.Replay).
 	Parallel int
 	// Chunk is the streaming trace chunk size in entries; 0 means the
 	// default size. The architectural execution always streams in
@@ -53,7 +54,7 @@ type Perf struct {
 func PerfFlags() *Perf {
 	p := &Perf{}
 	flag.IntVar(&p.Parallel, "parallel", runtime.GOMAXPROCS(0),
-		"parallelism (worker pool size; results are identical at any value)")
+		"parallelism: sets GOMAXPROCS, which bounds both the grid worker pool and each batch's replay lanes (results are identical at any value)")
 	flag.IntVar(&p.Chunk, "chunk", 0,
 		"stream traces in chunks of this many entries (0 = the default size; results identical)")
 	flag.DurationVar(&p.Timeout, "timeout", 0,

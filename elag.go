@@ -440,11 +440,13 @@ func (p *Program) Simulate(cfg SimConfig, fuel int64) (*Metrics, RunResult, erro
 
 // SimulateBatchContext emulates the program once and replays its trace
 // under every spec in a single streamed pass (see pipeline.Replay): one
-// architectural execution amortized over N configurations, each chunk
-// cache-hot across all of them. Trace memory is O(chunkSize) (<= 0 for
-// DefaultChunkSize) regardless of fuel. Metrics are returned in spec order
-// and are bit-identical to N independent Simulate calls at any chunk size;
-// a spec's Sink and PerPC observe its simulation without perturbing it.
+// architectural execution amortized over N configurations, replayed on up
+// to GOMAXPROCS lanes while the next chunk is emulated. Trace memory is
+// O(chunkSize) (<= 0 for DefaultChunkSize) regardless of fuel. Metrics are
+// returned in spec order and are bit-identical to N independent Simulate
+// calls at any chunk size and GOMAXPROCS; a spec's Sink and PerPC observe
+// its simulation without perturbing it, and the Sink is called from its
+// lane's goroutine.
 // ctx is checked between chunks, so a batch over a pathological program
 // aborts within one chunk of ctx being cancelled.
 func (p *Program) SimulateBatchContext(ctx context.Context, specs []BatchSpec, fuel int64, chunkSize int) ([]*Metrics, RunResult, error) {

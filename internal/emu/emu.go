@@ -301,8 +301,8 @@ func (c *CPU) Step(te *TraceEntry) error {
 // trace sized from the retired-instruction count is allocated exactly once
 // (no append regrowth). A Trace is immutable after RunTrace returns; any
 // number of timing simulations may replay it concurrently. Chunks handed
-// out by StreamTrace are the exception: they are recycled, and are only
-// valid until their yield callback returns.
+// out by StreamTrace are the exception: they are recycled, and stay intact
+// only until the next yield returns.
 type Trace struct {
 	// Seq0 is the dynamic sequence number of entry 0: zero for a whole
 	// materialized trace, the running instruction count for a chunk of a
@@ -405,9 +405,12 @@ const DefaultChunkSize = 4096
 // peak trace memory is O(chunkSize) regardless of fuel — the path for
 // 100M+ instruction runs that could never hold a full columnar trace.
 //
-// Chunks are recycled through a two-deep ring: the chunk passed to yield
-// is valid only until yield returns (a consumer that needs the data longer
-// must copy it). Chunk boundaries carry no meaning — concatenating the
+// Chunks are recycled through a two-deep ring: a yielded chunk stays
+// intact until the next yield returns, and no longer (the last one stays
+// intact after StreamTrace returns). A consumer may thus keep replaying
+// chunk k while the emulator fills chunk k+1, provided it is done with
+// chunk k before its next yield returns; one that needs the data longer
+// must copy it. Chunk boundaries carry no meaning — concatenating the
 // yielded chunks reproduces, bit for bit, the trace RunTrace would have
 // built, with Seq0 marking each chunk's position. Unlike RunTrace, no dry
 // counting pass is needed: chunk capacity is fixed up front, so the

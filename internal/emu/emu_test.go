@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +169,49 @@ func TestTraceRecordsLoadsAndBranches(t *testing.T) {
 	}
 	if trace.At(0).Taken || trace.At(0).NextPC != 1 {
 		t.Errorf("non-branch trace wrong: %+v", trace.At(0))
+	}
+}
+
+// TestStreamTraceRetainsOneRound: a yielded chunk stays intact until the
+// next yield returns — the two-deep ring's guarantee, on which
+// pipeline.Replay's overlap of emulation with replay rests. Chunk k's
+// columns, copied when it was yielded, must be unchanged while chunk k+1
+// is being yielded.
+func TestStreamTraceRetainsOneRound(t *testing.T) {
+	p := asmtest.MustAssemble(t, `
+	main:	li r1, 0
+		li r2, 65536
+	loop:	ld8_n r3, r2(0)
+		add r2, r2, 8
+		add r1, r1, 1
+		blt r1, 500, loop
+		halt r0
+	`)
+	clone := func(c *Trace) *Trace {
+		d := NewTrace(c.Len())
+		d.Seq0 = c.Seq0
+		d.PC = append(d.PC, c.PC...)
+		d.NextPC = append(d.NextPC, c.NextPC...)
+		d.EA = append(d.EA, c.EA...)
+		d.BaseVal = append(d.BaseVal, c.BaseVal...)
+		d.Taken = append(d.Taken, c.Taken...)
+		return d
+	}
+	var prev, saved *Trace
+	rounds := 0
+	_, err := StreamTrace(p, 0, 64, func(c *Trace) error {
+		if prev != nil && !reflect.DeepEqual(clone(prev), saved) {
+			t.Fatalf("chunk at seq %d changed while the next one was yielded", saved.Seq0)
+		}
+		prev, saved = c, clone(c)
+		rounds++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds < 3 {
+		t.Fatalf("%d chunks yielded, want at least 3", rounds)
 	}
 }
 

@@ -8,8 +8,10 @@
 //
 // Experiments optionally fan out across a worker pool (Runner.Parallel)
 // with benchmark affinity: one worker owns a benchmark's whole column of
-// (benchmark, configuration) cells and replays them in one streamed pass.
-// Labs are immutable after construction — per-simulation load flavours
+// (benchmark, configuration) cells and replays them in one streamed pass,
+// whose pipeline.Replay spreads the cells over up to GOMAXPROCS lane
+// goroutines — so even a serial grid uses more than one CPU. Labs are
+// immutable after construction — per-simulation load flavours
 // travel as overlays, never as program mutations — so every cell is
 // data-race-free and the results (cycle counts, speedups, averages) are
 // bit-identical at any parallelism level.
@@ -45,9 +47,11 @@ type Runner struct {
 	Fuel int64
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
-	// Parallel is the worker count for grid experiments; <=1 runs
-	// serially. Results are identical at every setting — parallelism
-	// changes wall time only.
+	// Parallel is the worker count for grid experiments; <= 1 builds
+	// and replays one benchmark at a time. It does not bound CPU use:
+	// each replay also deals its configurations onto up to GOMAXPROCS
+	// lanes (pipeline.Replay). Results are identical at every setting —
+	// parallelism changes wall time only.
 	Parallel int
 	// ChunkSize is the replay stream's chunk size in trace entries; 0
 	// means emu.DefaultChunkSize. Every replay re-streams the

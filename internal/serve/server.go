@@ -52,7 +52,8 @@ type Options struct {
 	QueueDepth int
 	// GridParallel is the harness parallelism each grid job runs with
 	// (default 1: grid jobs are already whole-suite batches, so the pool,
-	// not the job, is the unit of parallelism).
+	// not the job, is the unit of parallelism). Every job's replay still
+	// spreads its configurations over up to GOMAXPROCS lanes.
 	GridParallel int
 	// Limits are the per-job admission budgets (default DefaultLimits).
 	Limits Limits
