@@ -124,6 +124,67 @@ func TestDocumentBuildsEachLabOnce(t *testing.T) {
 	}
 }
 
+// TestDocumentExp: a named experiment fills exactly its own field of the
+// document, with the bytes the full document has there; "all" is the full
+// document, and an unknown name is an error.
+func TestDocumentExp(t *testing.T) {
+	r := &harness.Runner{Fuel: 20_000}
+	full, err := r.Document(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Document leaves the mechanism figure out; figmech's reference is the
+	// figure itself.
+	if full.FigureMech, err = r.FigureMech(ctx); err != nil {
+		t.Fatal(err)
+	}
+	marshal := func(doc *harness.BenchDocument) string {
+		var b bytes.Buffer
+		if err := harness.WriteBenchJSON(&b, doc); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	empty := marshal(&harness.BenchDocument{Schema: full.Schema, Fuel: full.Fuel})
+	for _, e := range []struct {
+		exp  string
+		copy func(dst, src *harness.BenchDocument)
+	}{
+		{"table2", func(d, s *harness.BenchDocument) { d.Table2 = s.Table2 }},
+		{"table3", func(d, s *harness.BenchDocument) { d.Table3 = s.Table3 }},
+		{"table4", func(d, s *harness.BenchDocument) { d.Table4 = s.Table4 }},
+		{"fig5a", func(d, s *harness.BenchDocument) { d.Figure5a = s.Figure5a }},
+		{"fig5b", func(d, s *harness.BenchDocument) { d.Figure5b = s.Figure5b }},
+		{"fig5c", func(d, s *harness.BenchDocument) { d.Figure5c = s.Figure5c }},
+		{"embedded", func(d, s *harness.BenchDocument) { d.Embedded = s.Embedded }},
+		{"figmech", func(d, s *harness.BenchDocument) { d.FigureMech = s.FigureMech }},
+	} {
+		want := &harness.BenchDocument{Schema: full.Schema, Fuel: full.Fuel}
+		e.copy(want, full)
+		if marshal(want) == empty {
+			t.Fatalf("%s: the full document has nothing in its field", e.exp)
+		}
+		doc, err := r.DocumentExp(ctx, e.exp)
+		if err != nil {
+			t.Fatalf("%s: %v", e.exp, err)
+		}
+		if marshal(doc) != marshal(want) {
+			t.Errorf("%s: document is not the full document's %s field alone", e.exp, e.exp)
+		}
+	}
+	full.FigureMech = nil
+	doc, err := r.DocumentExp(ctx, "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if marshal(doc) != marshal(full) {
+		t.Errorf(`DocumentExp("all") differs from Document`)
+	}
+	if _, err := r.DocumentExp(ctx, "bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("unknown experiment: err %v, want one naming it", err)
+	}
+}
+
 func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all 12 SPEC-like benchmarks")

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchSchema versions the elag-bench JSON document; bump on any
-// field-shape change so an accumulating BENCH_*.json trajectory can
-// dispatch per version.
+// field-shape change so readers of stored documents can dispatch per
+// version.
 const BenchSchema = "elag-bench/v1"
 
 // BenchDocument is every experiment artifact of the paper's evaluation as

@@ -241,17 +241,18 @@ func TestReplay(t *testing.T) {
 }
 
 // allocsPerRun is testing.AllocsPerRun without its pin of GOMAXPROCS to
-// 1, which would leave Replay a single lane: the mallocs per call of f,
-// averaged over runs calls, after ten warm-up calls. With several lanes
-// the runtime now and then refills its per-CPU free lists of goroutines
-// and of parked goroutines' wait records (a garbage collection empties
-// the shared list), so the result is the least of ten such averages; an
-// allocation made per chunk shows in every one of them.
-func allocsPerRun(runs int, f func()) float64 {
+// 1, which would leave Replay a single lane: the mallocs and the bytes
+// (MemStats.TotalAlloc) per call of f, averaged over runs calls, after ten
+// warm-up calls. With several lanes the runtime now and then refills its
+// per-CPU free lists of goroutines and of parked goroutines' wait records
+// (a garbage collection empties the shared list), so each result is the
+// least of ten such averages; an allocation made per chunk shows in every
+// one of them.
+func allocsPerRun(runs int, f func()) (mallocs, bytes uint64) {
 	for range 10 {
 		f()
 	}
-	least := uint64(math.MaxUint64)
+	mallocs, bytes = math.MaxUint64, math.MaxUint64
 	for range 10 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -259,54 +260,72 @@ func allocsPerRun(runs int, f func()) float64 {
 			f()
 		}
 		runtime.ReadMemStats(&after)
-		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
+		mallocs = min(mallocs, (after.Mallocs-before.Mallocs)/uint64(runs))
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
 	}
-	return float64(least)
+	return mallocs, bytes
 }
 
-// TestReplayAllocs: Replay allocates per call, never per chunk — its lanes
-// start once and are fed over channels — so replaying a batch in 40
-// chunks allocates exactly as much as in 4, on one lane and on four. The
-// per-call total (NewBatch's sims, the emulator and its ring, the lanes)
-// stays under a fixed bound.
+// TestReplayAllocs: Replay allocates per call, never per chunk or per
+// instruction — its lanes start once and are fed over channels, and its
+// chunk buffers are sized once — so replaying a batch for 40 chunks
+// allocates exactly as often, and as many bytes, as for 4, on one lane and
+// on four. The per-call totals (NewBatch's sims, the emulator and its
+// ring, the lanes) stay under fixed bounds.
 func TestReplayAllocs(t *testing.T) {
-	// Measured with go1.24 on linux/amd64: 105 before Replay had lanes,
-	// 112 on one lane and 118 on four.
-	const bound = 150
-	p := asmtest.MustAssemble(t, loopOf(3000, obsProgBody))
+	// Measured with go1.24 on linux/amd64: 105 allocations before Replay
+	// had lanes, 112 on one lane and 118 on four; 1,566,921 bytes on one
+	// lane and about 1,567,500 on four.
+	const allocBound, byteBound = 150, 2 << 20
+	// Four lanes may differ by the runtime's free-list refills (see
+	// allocsPerRun), which are smaller than 36 extra chunks' buffers.
+	const laneSlack = 1 << 10
+	// 48,000 instructions, so both runs end by fuel exhaustion.
+	p := asmtest.MustAssemble(t, loopOf(6000, obsProgBody))
 	var specs []BatchSpec
 	for _, cfg := range machines() {
 		specs = append(specs, BatchSpec{Config: cfg})
 	}
-	const fuel = 4000
+	const chunk = 1000
 	replay := func(chunks int) func() {
 		return func() {
 			if _, _, err := Replay(context.Background(), p, specs,
-				Options{Fuel: fuel, Chunk: fuel / chunks}); err != nil {
+				Options{Fuel: int64(chunks * chunk), Chunk: chunk}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	perLanes := map[int]float64{}
+	perLanes := map[int]uint64{}
 	for _, procs := range []int{1, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			few, many := allocsPerRun(5, replay(4)), allocsPerRun(5, replay(40))
+			few, fewBytes := allocsPerRun(5, replay(4))
+			many, manyBytes := allocsPerRun(5, replay(40))
 			if few != many {
-				t.Fatalf("GOMAXPROCS %d: %v allocs at 4 chunks, %v at 40", procs, few, many)
+				t.Errorf("GOMAXPROCS %d: %d allocs at 4 chunks, %d at 40", procs, few, many)
 			}
-			if few > bound {
-				t.Fatalf("GOMAXPROCS %d: %v allocs per Replay, bound %d", procs, few, bound)
+			slack := uint64(0)
+			if procs > 1 {
+				slack = laneSlack
+			}
+			if max(fewBytes, manyBytes)-min(fewBytes, manyBytes) > slack {
+				t.Errorf("GOMAXPROCS %d: %d bytes at 4 chunks, %d at 40", procs, fewBytes, manyBytes)
+			}
+			if few > allocBound {
+				t.Errorf("GOMAXPROCS %d: %d allocs per Replay, bound %d", procs, few, allocBound)
+			}
+			if fewBytes > byteBound {
+				t.Errorf("GOMAXPROCS %d: %d bytes per Replay, bound %d", procs, fewBytes, byteBound)
 			}
 			perLanes[procs] = few
 		}()
 	}
 	// At one lane the measurement is testing.AllocsPerRun's own; at four
 	// it must count the extra lanes, or the pin was not avoided.
-	if ref := testing.AllocsPerRun(10, replay(40)); perLanes[1] != ref {
-		t.Fatalf("one lane: %v allocs, testing.AllocsPerRun says %v", perLanes[1], ref)
+	if ref := testing.AllocsPerRun(10, replay(40)); float64(perLanes[1]) != ref {
+		t.Fatalf("one lane: %d allocs, testing.AllocsPerRun says %v", perLanes[1], ref)
 	}
 	if perLanes[4] <= perLanes[1] {
-		t.Fatalf("four lanes allocate %v, one lane %v: lanes not started", perLanes[4], perLanes[1])
+		t.Fatalf("four lanes allocate %d, one lane %d: lanes not started", perLanes[4], perLanes[1])
 	}
 }
