@@ -1,17 +1,20 @@
 // elag-bench regenerates the paper's evaluation artifacts — Tables 2, 3
-// and 4 and Figures 5a, 5b and 5c — over the built-in workload suite.
+// and 4, Figures 5a, 5b and 5c and the embedded-core study — over the
+// built-in workload suite.
 //
 // Usage:
 //
 //	elag-bench [flags]
 //
-//	-exp name     table2|table3|table4|fig5a|fig5b|fig5c|embedded|figmech|all
-//	              (default all; figmech — the mechanism-layer extension
-//	              figure — runs only when named explicitly)
+//	-exp name     all|table2|table3|fig5a|fig5b|fig5c|table4|embedded|figmech
+//	              (default all: every experiment in that order but figmech,
+//	              the mechanism-layer extension figure, which runs only when
+//	              named; an unknown name exits 2 in every mode)
 //	-fuel N       per-benchmark dynamic instruction budget (0 = the 200M
 //	              default, used for reported results)
 //	-q            suppress progress logging
-//	-csv dir      write every artifact as CSV into dir (for plotting)
+//	-csv dir      write each artifact -exp selects as NAME.csv into dir
+//	              (for plotting); embedded has no CSV form
 //	-json file    write the experiments -exp selects as one schema-versioned
 //	              JSON document ("-" for stdout)
 //	-parallel N   fan benchmarks across N workers and set GOMAXPROCS to N,
@@ -45,14 +48,24 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "table2|table3|table4|fig5a|fig5b|fig5c|embedded|figmech|all")
+	names := []string{"all"}
+	for _, e := range harness.Experiments {
+		names = append(names, e.Name)
+	}
+	exp := flag.String("exp", "all", strings.Join(names, "|"))
 	fuel := flag.Int64("fuel", 0, "per-benchmark instruction budget (0 = the 200M default)")
 	quiet := flag.Bool("q", false, "suppress progress logging")
-	csvDir := flag.String("csv", "", "also write CSVs for every artifact into this directory")
+	csvDir := flag.String("csv", "", "write a CSV for each artifact -exp selects into this directory")
 	jsonPath := flag.String("json", "", `write the -exp artifacts as one JSON document to this file ("-" = stdout)`)
 	cacheOpts := cli.CacheFlags()
 	perf := cli.PerfFlags()
 	flag.Parse()
+
+	sel, err := harness.SelectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "elag-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	perf.Start("elag-bench")
 	defer perf.Stop()
@@ -90,7 +103,7 @@ func main() {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			check("csv", fmt.Errorf("create %s: %w", *csvDir, err))
 		}
-		err := r.ExportCSV(ctx, func(name string) (io.WriteCloser, error) {
+		err := r.ExportCSV(ctx, *exp, func(name string) (io.WriteCloser, error) {
 			return os.Create(filepath.Join(*csvDir, name))
 		})
 		check("csv", err)
@@ -98,57 +111,15 @@ func main() {
 		return
 	}
 
-	run := func(name string) {
-		switch name {
-		case "table2":
-			rows, err := r.Table2(ctx)
-			check("table2", err)
-			fmt.Print(harness.FormatTable2(rows))
-		case "table3":
-			rows, err := r.Table3(ctx)
-			check("table3", err)
-			fmt.Print(harness.FormatTable3(rows))
-		case "table4":
-			rows, err := r.Table4(ctx)
-			check("table4", err)
-			fmt.Print(harness.FormatTable4(rows))
-		case "fig5a":
-			fig, err := r.Figure5a(ctx)
-			check("fig5a", err)
-			fmt.Print(harness.FormatFigure(fig))
-		case "fig5b":
-			fig, err := r.Figure5b(ctx)
-			check("fig5b", err)
-			fmt.Print(harness.FormatFigure(fig))
-		case "fig5c":
-			fig, err := r.Figure5c(ctx)
-			check("fig5c", err)
-			fmt.Print(harness.FormatFigure(fig))
-		case "embedded":
-			rows, err := r.Embedded(ctx)
-			check("embedded", err)
-			fmt.Print(harness.FormatEmbedded(rows))
-		case "figmech":
-			fig, err := r.FigureMech(ctx)
-			check("figmech", err)
-			fmt.Print(harness.FormatFigure(fig))
-		default:
-			fmt.Fprintf(os.Stderr, "elag-bench: unknown experiment %q\n", name)
-			os.Exit(2)
+	for _, e := range sel {
+		if !*quiet && len(sel) > 1 {
+			fmt.Fprintf(os.Stderr, "== %s ==\n", strings.ToUpper(e.Name))
 		}
+		doc, err := r.DocumentExp(ctx, e.Name)
+		check(e.Name, err)
+		fmt.Print(e.Text(doc))
 		fmt.Println()
 	}
-
-	if *exp == "all" {
-		for _, name := range []string{"table2", "table3", "fig5a", "fig5b", "fig5c", "table4", "embedded"} {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "== %s ==\n", strings.ToUpper(name))
-			}
-			run(name)
-		}
-		return
-	}
-	run(*exp)
 }
 
 // checkPerf lets check report deadline/interrupt outcomes distinctly; set

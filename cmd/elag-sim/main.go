@@ -6,9 +6,10 @@
 //
 //	elag-sim [flags] file.{mc,s,bin} | workload:NAME
 //
-//	-config name   base | compiler | hw-pred | hw-early | hw-dual
+//	-config name   base | hw-pred | hw-early | hw-dual | compiler
 //	-table N       prediction table entries (default 256)
-//	-regs N        early-calculation registers (default 1; 16 for hw modes)
+//	-regs N        early-calculation registers (0 = the machine's default:
+//	               16 for hw-early and hw-dual, 1 for compiler)
 //	-mech spec     attach an assist mechanism from the registry
 //	               (kind[:entries[xassoc]], e.g. stride:256 or pcax:256x4);
 //	               assists ride on -config base (the default when -mech is
@@ -46,13 +47,14 @@ import (
 	"elag"
 	"elag/cmd/internal/cli"
 	"elag/internal/artifact"
+	"elag/internal/pipeline"
 	"elag/internal/serve"
 )
 
 func main() {
-	config := flag.String("config", "compiler", cli.ConfigNames)
+	config := flag.String("config", "compiler", elag.ConfigNames)
 	table := flag.Int("table", 256, "prediction table entries")
-	regs := flag.Int("regs", 0, "early-calculation registers (0 = mode default)")
+	regs := flag.Int("regs", 0, "early-calculation registers (0 = the machine's default: 16 for hw-early and hw-dual, 1 for compiler)")
 	mechSpec := flag.String("mech", "", "attach an assist mechanism (kind[:entries[xassoc]], e.g. stride:256); implies -config base. The paper kinds (addrpred, earlycalc) are sized by -table/-regs instead")
 	helpMechs := flag.Bool("help-mechanisms", false, "list the registered mechanism kinds and exit")
 	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
@@ -112,12 +114,15 @@ func main() {
 	}
 
 	// The config list in serve's job vocabulary: base plus either the one
-	// chosen configuration or, under -all, every early-address mode. The
+	// chosen machine or, under -all, every machine after base. The
 	// simulation specs AND the cache key both derive from this list, so a
 	// CLI run describes exactly the computation a serve job would.
 	names := []string{*config}
 	if *all {
-		names = []string{"hw-pred", "hw-early", "hw-dual", "compiler"}
+		names = nil
+		for _, m := range pipeline.Machines[1:] {
+			names = append(names, m.Name)
+		}
 	}
 	cfgSpecs := []serve.ConfigSpec{{Name: "base"}}
 	for _, name := range names {

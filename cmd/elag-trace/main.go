@@ -10,9 +10,10 @@
 //
 //	elag-trace [flags] file.{mc,s,bin} | workload:NAME
 //
-//	-config name   base | compiler | hw-pred | hw-early | hw-dual
+//	-config name   base | hw-pred | hw-early | hw-dual | compiler
 //	-table N       prediction table entries (default 256)
-//	-regs N        early-calculation registers (0 = mode default)
+//	-regs N        early-calculation registers (0 = the machine's default:
+//	               16 for hw-early and hw-dual, 1 for compiler)
 //	-fuel N        dynamic instruction budget (0 = the 200M default)
 //	-from/-to N    record only events in the cycle window [from, to]
 //	-limit N       cap recorded events (default 1e6; 0 = unlimited)
@@ -37,9 +38,9 @@ import (
 )
 
 func main() {
-	config := flag.String("config", "compiler", cli.ConfigNames)
+	config := flag.String("config", "compiler", elag.ConfigNames)
 	table := flag.Int("table", 256, "prediction table entries")
-	regs := flag.Int("regs", 0, "early-calculation registers (0 = mode default)")
+	regs := flag.Int("regs", 0, "early-calculation registers (0 = the machine's default: 16 for hw-early and hw-dual, 1 for compiler)")
 	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
 	from := flag.Int64("from", 0, "first cycle of the recorded window")
 	to := flag.Int64("to", 0, "last cycle of the recorded window (0 = unbounded)")
@@ -61,7 +62,7 @@ func main() {
 	if err != nil {
 		cli.Fatal("elag-trace", err)
 	}
-	cfg, err := cli.Config(*config, *table, *regs)
+	cfg, err := elag.NamedConfig(*config, *table, *regs)
 	if err != nil {
 		cli.Fatal("elag-trace", err)
 	}

@@ -1,5 +1,5 @@
-// Package cli holds the build-and-load and configuration plumbing shared
-// by the elag command-line tools, so their flag semantics and error paths
+// Package cli holds the build-and-load, flag and error plumbing shared by
+// the elag command-line tools, so their flag semantics and error paths
 // stay consistent.
 package cli
 
@@ -54,15 +54,6 @@ func Load(path string) (*elag.Program, error) {
 		return nil, fmt.Errorf("build %s: %w", path, err)
 	}
 	return p, nil
-}
-
-// ConfigNames documents the -config values Config accepts.
-const ConfigNames = elag.ConfigNames
-
-// Config maps a -config name to a simulator configuration (see
-// elag.NamedConfig — the same vocabulary the elag-serve job API accepts).
-func Config(name string, table, regs int) (elag.SimConfig, error) {
-	return elag.NamedConfig(name, table, regs)
 }
 
 // Fatal reports err on stderr (flagging architectural faults as such) and

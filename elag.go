@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"elag/internal/asm"
 	"elag/internal/core"
@@ -185,41 +186,43 @@ var ErrFuel = emu.ErrFuel
 // BaseConfig returns the paper's base architecture (Section 5.1) without
 // early address generation: 6-wide in-order issue, 4 integer ALUs, 2 memory
 // ports, 64K I/D caches, 1K-entry BTB.
-func BaseConfig() SimConfig { return pipeline.PaperBase() }
+func BaseConfig() SimConfig { return SimConfig{} }
 
-// CompilerDirectedConfig returns the paper's headline configuration: a
-// 256-entry direct-mapped address prediction table plus one
-// compiler-directed addressing register.
-func CompilerDirectedConfig() SimConfig { return pipeline.PaperCompilerDirected() }
+// CompilerDirectedConfig returns the paper's headline configuration, the
+// "compiler" machine: a 256-entry direct-mapped address prediction table
+// plus one compiler-directed addressing register.
+func CompilerDirectedConfig() SimConfig {
+	cfg, _ := NamedConfig("compiler", 0, 0)
+	return cfg
+}
 
-// ConfigNames documents the configuration names NamedConfig accepts.
-const ConfigNames = "base|compiler|hw-pred|hw-early|hw-dual"
-
-// NamedConfig maps a configuration name (see ConfigNames) to a simulator
-// configuration — the shared vocabulary of the CLI tools' -config flag and
-// the elag-serve job API. The hardware is spelled as mechanism specs:
-// table sizes the "addrpred" prediction table (0 picks its default of
-// 256); regs sizes the "earlycalc" register cache (0 picks the mode's
-// default: 1 for compiler, 16 for the hardware-only modes).
-func NamedConfig(name string, table, regs int) (SimConfig, error) {
-	pred := MechSpec{Kind: "addrpred", Entries: table}
-	rc := func(def int) MechSpec {
-		if regs != 0 {
-			def = regs
-		}
-		return MechSpec{Kind: "earlycalc", Entries: def}
+// ConfigNames documents the configuration names NamedConfig accepts: the
+// paper's machines (pipeline.Machines) in the order the tools print them.
+var ConfigNames = func() string {
+	names := make([]string, len(pipeline.Machines))
+	for i, m := range pipeline.Machines {
+		names[i] = m.Name
 	}
-	switch name {
-	case "base":
-		return BaseConfig(), nil
-	case "compiler":
-		return SimConfig{Select: SelCompiler, Mechanisms: []MechSpec{pred, rc(1)}}, nil
-	case "hw-pred":
-		return SimConfig{Select: SelAllPredict, Mechanisms: []MechSpec{pred}}, nil
-	case "hw-early":
-		return SimConfig{Select: SelAllEarly, Mechanisms: []MechSpec{rc(16)}}, nil
-	case "hw-dual":
-		return SimConfig{Select: SelHWDual, Mechanisms: []MechSpec{pred, rc(16)}}, nil
+	return strings.Join(names, "|")
+}()
+
+// NamedConfig maps a machine name (see ConfigNames) to a simulator
+// configuration — the shared vocabulary of the CLI tools' -config flag and
+// the elag-serve job API. table sizes the "addrpred" prediction table and
+// regs the "earlycalc" register cache; 0 picks the machine's default (a
+// 256-entry table; 1 register for compiler, 16 for the hardware-only
+// machines), and a size the machine never drives is ignored.
+func NamedConfig(name string, table, regs int) (SimConfig, error) {
+	for _, m := range pipeline.Machines {
+		if m.Name == name {
+			if table == 0 {
+				table = m.Table
+			}
+			if regs == 0 {
+				regs = m.Regs
+			}
+			return m.Select.Config(table, regs), nil
+		}
 	}
 	return SimConfig{}, fmt.Errorf("unknown config %q (want %s)", name, ConfigNames)
 }

@@ -62,35 +62,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	configs := []struct {
-		name string
-		cfg  elag.SimConfig
-	}{
-		{"prediction only (256)", elag.SimConfig{
-			Select:     elag.SelAllPredict,
-			Mechanisms: []elag.MechSpec{{Kind: "addrpred", Entries: 256}},
-		}},
-		{"early-calc only (16 regs)", elag.SimConfig{
-			Select:     elag.SelAllEarly,
-			Mechanisms: []elag.MechSpec{{Kind: "earlycalc", Entries: 16}},
-		}},
-		{"hw dual (interlock steer)", elag.SimConfig{
-			Select: elag.SelHWDual,
-			Mechanisms: []elag.MechSpec{
-				{Kind: "addrpred", Entries: 256},
-				{Kind: "earlycalc", Entries: 16},
-			},
-		}},
-		{"compiler dual (256 + 1)", elag.CompilerDirectedConfig()},
+	configs := []struct{ label, machine string }{
+		{"prediction only (256)", "hw-pred"},
+		{"early-calc only (16 regs)", "hw-early"},
+		{"hw dual (interlock steer)", "hw-dual"},
+		{"compiler dual (256 + 1)", "compiler"},
 	}
 	fmt.Printf("%-28s %9s %8s %10s %10s\n", "config", "speedup", "loadlat", "fwd-pred", "fwd-early")
 	for _, c := range configs {
-		m, _, err := p.Simulate(c.cfg, 0)
+		cfg, err := elag.NamedConfig(c.machine, 0, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, _, err := p.Simulate(cfg, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-28s %9.3f %8.2f %10d %10d\n",
-			c.name, m.SpeedupOver(base), m.AvgLoadLatency(),
+			c.label, m.SpeedupOver(base), m.AvgLoadLatency(),
 			m.Predict.Forwarded, m.Early.Forwarded)
 	}
 	fmt.Println("\nNote how neither single mechanism covers both phases: the table")

@@ -118,7 +118,7 @@ func TestWatchdogConfigured(t *testing.T) {
 	// MaxCPI of 0 would take the default; force the smallest legal
 	// ceiling and expect the watchdog to fire (real CPI > 0.2 always,
 	// since issue width is 6 but the program has dependences).
-	m := checkConfig(p, NamedConfig{"base", pipeline.PaperBase()}, trace, &res, 1, rep)
+	m := checkConfig(p, NamedConfig{"base", pipeline.Config{}}, trace, &res, 1, rep)
 	if m == nil {
 		t.Fatal("replay failed")
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"elag/internal/pipeline"
 	"elag/internal/workload"
 
 	elag "elag"
@@ -26,11 +27,6 @@ type mechGoldensDoc struct {
 	Entries map[string]json.RawMessage
 }
 
-// mechGoldenConfigs are the named configurations the goldens freeze — the
-// shared CLI/serve vocabulary, at table=256 and the mode-default register
-// count.
-var mechGoldenConfigs = []string{"base", "compiler", "hw-pred", "hw-early", "hw-dual"}
-
 func mechGoldenMetrics(t *testing.T, fuel int64) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -39,7 +35,10 @@ func mechGoldenMetrics(t *testing.T, fuel int64) map[string][]byte {
 		if err != nil {
 			t.Fatalf("%s: build: %v", w.Name, err)
 		}
-		for _, name := range mechGoldenConfigs {
+		// Every machine (the shared CLI/serve vocabulary) at table=256
+		// and its default register count.
+		for _, mc := range pipeline.Machines {
+			name := mc.Name
 			cfg, err := elag.NamedConfig(name, 256, 0)
 			if err != nil {
 				t.Fatalf("config %s: %v", name, err)

@@ -90,53 +90,38 @@ func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
 	return cw.Error()
 }
 
-// ExportCSV runs every experiment and writes one CSV per artifact into dir
-// via the provided create function (typically wrapping os.Create).
-func (r *Runner) ExportCSV(ctx context.Context, create func(name string) (io.WriteCloser, error)) error {
-	write := func(name string, fn func(io.Writer) error) error {
-		f, err := create(name)
+// ExportCSV runs the experiments SelectExperiments(exp) selects and writes
+// one CSV per artifact, named after its experiment, through the provided
+// create function (typically wrapping os.Create). Experiments without a CSV
+// form are skipped; a selection with none is an error.
+func (r *Runner) ExportCSV(ctx context.Context, exp string, create func(name string) (io.WriteCloser, error)) error {
+	sel, err := SelectExperiments(exp)
+	if err != nil {
+		return err
+	}
+	doc, wrote := &BenchDocument{}, false
+	for _, e := range sel {
+		if e.csv == nil {
+			continue
+		}
+		if err := e.run(r, ctx, doc); err != nil {
+			return err
+		}
+		f, err := create(e.Name + ".csv")
 		if err != nil {
 			return err
 		}
-		if err := fn(f); err != nil {
+		if err := e.csv(f, doc); err != nil {
 			f.Close()
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s.csv: %w", e.Name, err)
 		}
-		return f.Close()
-	}
-	t2, err := r.Table2(ctx)
-	if err != nil {
-		return err
-	}
-	if err := write("table2.csv", func(w io.Writer) error { return WriteTable2CSV(w, t2) }); err != nil {
-		return err
-	}
-	t3, err := r.Table3(ctx)
-	if err != nil {
-		return err
-	}
-	if err := write("table3.csv", func(w io.Writer) error { return WriteTable3CSV(w, t3) }); err != nil {
-		return err
-	}
-	t4, err := r.Table4(ctx)
-	if err != nil {
-		return err
-	}
-	if err := write("table4.csv", func(w io.Writer) error { return WriteTable4CSV(w, t4) }); err != nil {
-		return err
-	}
-	for name, fn := range map[string]func(context.Context) (*Figure, error){
-		"fig5a.csv": r.Figure5a,
-		"fig5b.csv": r.Figure5b,
-		"fig5c.csv": r.Figure5c,
-	} {
-		fig, err := fn(ctx)
-		if err != nil {
+		if err := f.Close(); err != nil {
 			return err
 		}
-		if err := write(name, func(w io.Writer) error { return WriteFigureCSV(w, fig) }); err != nil {
-			return err
-		}
+		wrote = true
+	}
+	if !wrote {
+		return fmt.Errorf("experiment %q has no CSV form", exp)
 	}
 	return nil
 }

@@ -68,17 +68,22 @@ type nopCloser struct{ io.Writer }
 
 func (nopCloser) Close() error { return nil }
 
-func TestExportCSVWritesEveryArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs all experiments")
-	}
-	r := &harness.Runner{Fuel: 120_000}
+// exportCSV runs r.ExportCSV(exp) into memory, returning the files by name.
+func exportCSV(r *harness.Runner, exp string) (map[string]*bytes.Buffer, error) {
 	files := map[string]*bytes.Buffer{}
-	err := r.ExportCSV(ctx, func(name string) (io.WriteCloser, error) {
+	err := r.ExportCSV(ctx, exp, func(name string) (io.WriteCloser, error) {
 		b := &bytes.Buffer{}
 		files[name] = b
 		return nopCloser{b}, nil
 	})
+	return files, err
+}
+
+func TestExportCSVWritesEveryArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all experiments")
+	}
+	files, err := exportCSV(&harness.Runner{Fuel: 120_000}, "all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,5 +93,27 @@ func TestExportCSVWritesEveryArtifact(t *testing.T) {
 		if !ok || b.Len() == 0 {
 			t.Errorf("artifact %s missing or empty", want)
 		}
+	}
+	if len(files) != 6 {
+		t.Errorf("wrote %d files, want the six table and figure CSVs", len(files))
+	}
+}
+
+// TestExportCSVFollowsSelection: ExportCSV writes the CSV of exactly the
+// experiments its selection names, and a selection with no CSV form is an
+// error that writes nothing.
+func TestExportCSVFollowsSelection(t *testing.T) {
+	r := &harness.Runner{Fuel: 20_000}
+	for _, exp := range []string{"fig5a", "figmech"} {
+		files, err := exportCSV(r, exp)
+		if err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+		if len(files) != 1 || files[exp+".csv"] == nil || files[exp+".csv"].Len() == 0 {
+			t.Errorf("%s: wrote %d files, want only a non-empty %s.csv", exp, len(files), exp)
+		}
+	}
+	if files, err := exportCSV(r, "embedded"); err == nil || len(files) != 0 {
+		t.Errorf("embedded: wrote %d files, err %v; want no files and an error", len(files), err)
 	}
 }

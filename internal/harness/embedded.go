@@ -7,7 +7,6 @@ import (
 
 	"elag/internal/bpred"
 	"elag/internal/cache"
-	"elag/internal/mech"
 	"elag/internal/pipeline"
 	"elag/internal/workload"
 )
@@ -21,9 +20,10 @@ import (
 // 2-wide, single memory port, 8K caches, a small 64-entry table — where
 // the area argument has teeth.
 
-// EmbeddedBase returns an embedded-class base core: 2-wide in-order, one
-// memory port, 8K direct-mapped caches, a 256-entry BTB.
-func EmbeddedBase() pipeline.Config {
+// embedded returns the embedded-class core — 2-wide in-order, one memory
+// port, 8K direct-mapped caches, a 256-entry BTB — with hw's selection and
+// early-address hardware.
+func embedded(hw pipeline.Config) pipeline.Config {
 	return pipeline.Config{
 		FetchWidth:  2,
 		IssueWidth:  2,
@@ -34,26 +34,9 @@ func EmbeddedBase() pipeline.Config {
 		ICache:      cache.Config{SizeBytes: 8 << 10},
 		DCache:      cache.Config{SizeBytes: 8 << 10},
 		BTB:         bpred.Config{Entries: 256},
+		Select:      hw.Select,
+		Mechanisms:  hw.Mechanisms,
 	}
-}
-
-// EmbeddedCompiler is the embedded core plus the compiler-directed
-// hardware scaled to an embedded budget: a 64-entry table and one R_addr.
-func EmbeddedCompiler() pipeline.Config {
-	cfg := EmbeddedBase()
-	cfg.Select = pipeline.SelCompiler
-	cfg.Mechanisms = []mech.Spec{{Kind: "addrpred", Entries: 64}, {Kind: "earlycalc", Entries: 1}}
-	return cfg
-}
-
-// EmbeddedHWDual is the hardware-only dual-path alternative at the area
-// budget the paper argues embedded designs cannot afford to exceed: the
-// same 64-entry table but an 8-register multicast cache.
-func EmbeddedHWDual() pipeline.Config {
-	cfg := EmbeddedBase()
-	cfg.Select = pipeline.SelHWDual
-	cfg.Mechanisms = []mech.Spec{{Kind: "addrpred", Entries: 64}, {Kind: "earlycalc", Entries: 8}}
-	return cfg
 }
 
 // EmbeddedRow is one benchmark's result in the embedded experiment.
@@ -71,9 +54,15 @@ func (r *Runner) Embedded(ctx context.Context) ([]EmbeddedRow, error) {
 		func(i int) any { return &rows[i] },
 		func(ctx context.Context, i int, l *Lab) error {
 			ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{
-				{Config: EmbeddedBase()},
-				{Config: EmbeddedCompiler(), Flavors: l.HeurFlavors},
-				{Config: EmbeddedHWDual()},
+				{Config: embedded(pipeline.Config{})},
+				// The compiler-directed hardware scaled to an embedded
+				// budget: a 64-entry table and one R_addr.
+				{Config: embedded(pipeline.SelCompiler.Config(64, 1)), Flavors: l.HeurFlavors},
+				// The hardware-only dual path at the area budget the
+				// paper argues embedded designs cannot afford to
+				// exceed: the same table but an 8-register multicast
+				// cache.
+				{Config: embedded(pipeline.SelHWDual.Config(64, 8))},
 			})
 			if err != nil {
 				return err

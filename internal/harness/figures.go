@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"elag"
 	"elag/internal/isa"
 	"elag/internal/mech"
 	"elag/internal/pipeline"
@@ -114,8 +115,9 @@ func (r *Runner) Figure5a(ctx context.Context) (*Figure, error) {
 	var series []seriesDef
 	for _, size := range Figure5aSizes {
 		series = append(series,
-			seriesDef{label: fmt.Sprintf("hw-only %d", size), cfg: HWPredict(size)},
-			seriesDef{label: fmt.Sprintf("compiler %d", size), cfg: CompilerPredict(size),
+			seriesDef{label: fmt.Sprintf("hw-only %d", size), cfg: pipeline.SelAllPredict.Config(size, 0)},
+			// Table only: ld_e loads behave like normal loads.
+			seriesDef{label: fmt.Sprintf("compiler %d", size), cfg: pipeline.SelCompiler.Config(size, 0),
 				flav: (*Lab).heurFlavors},
 		)
 	}
@@ -136,7 +138,7 @@ func (r *Runner) Figure5b(ctx context.Context) (*Figure, error) {
 	for _, n := range Figure5bSizes {
 		series = append(series, seriesDef{
 			label: fmt.Sprintf("hw-early %d regs", n),
-			cfg:   HWEarly(n),
+			cfg:   pipeline.SelAllEarly.Config(0, n),
 		})
 	}
 	return r.figure(ctx, "fig5b", "Figure 5b: early address calculation only (scaled sizes)",
@@ -148,38 +150,31 @@ func (r *Runner) Figure5b(ctx context.Context) (*Figure, error) {
 // heuristics, and with heuristics plus address profiling.
 func (r *Runner) Figure5c(ctx context.Context) (*Figure, error) {
 	series := []seriesDef{
-		{label: "hw-predict 256", cfg: HWPredict(256)},
-		{label: "hw-early 16", cfg: HWEarly(16)},
-		{label: "hw-dual", cfg: HWDual(256, 16)},
-		{label: "compiler dual", cfg: CompilerDual(), flav: (*Lab).heurFlavors},
-		{label: "compiler dual+profile", cfg: CompilerDual(), flav: (*Lab).reclassFlavors},
+		{label: "hw-predict 256", cfg: pipeline.SelAllPredict.Config(256, 0)},
+		{label: "hw-early 16", cfg: pipeline.SelAllEarly.Config(0, 16)},
+		{label: "hw-dual", cfg: pipeline.SelHWDual.Config(256, 16)},
+		{label: "compiler dual", cfg: elag.CompilerDirectedConfig(), flav: (*Lab).heurFlavors},
+		{label: "compiler dual+profile", cfg: elag.CompilerDirectedConfig(), flav: (*Lab).reclassFlavors},
 	}
 	return r.figure(ctx, "fig5c", "Figure 5c: dual-path early address generation", workload.SPEC, series)
 }
 
-// MechFigureSpecs are the assist mechanisms FigureMech compares, at their
-// reference geometries. The list is data so a new registry kind becomes a
-// figure column by appending one spec.
-var MechFigureSpecs = []mech.Spec{
-	{Kind: "stride", Entries: 256},
-	{Kind: "pcax", Entries: 256, Assoc: 4},
-}
-
 // FigureMech is the mechanism-layer extension figure: each assist
-// mechanism (one grid column per MechFigureSpecs entry) against the
+// mechanism (one grid column per pipeline.AssistSpecs entry) against the
 // paper's hardware-only predictor and its compiler-directed proposal, all
 // as speedups over the same base architecture. The assist mechanisms need
 // no compiler support — they drive every load — so they bracket how much
 // of the paper's win is the table geometry versus the classification.
 func (r *Runner) FigureMech(ctx context.Context) (*Figure, error) {
 	series := []seriesDef{
-		{label: "hw-predict 256", cfg: HWPredict(256)},
+		{label: "hw-predict 256", cfg: pipeline.SelAllPredict.Config(256, 0)},
 	}
-	for _, sp := range MechFigureSpecs {
-		series = append(series, seriesDef{label: sp.String(), cfg: Assist(sp)})
+	for _, sp := range pipeline.AssistSpecs {
+		series = append(series, seriesDef{label: sp.String(),
+			cfg: pipeline.Config{Mechanisms: []mech.Spec{sp}}})
 	}
 	series = append(series,
-		seriesDef{label: "compiler dual", cfg: CompilerDual(), flav: (*Lab).heurFlavors})
+		seriesDef{label: "compiler dual", cfg: elag.CompilerDirectedConfig(), flav: (*Lab).heurFlavors})
 	return r.figure(ctx, "figmech",
 		"Figure M: pluggable load-acceleration mechanisms (speedup over base)",
 		workload.SPEC, series)

@@ -30,7 +30,6 @@ import (
 	"elag/internal/core"
 	"elag/internal/emu"
 	"elag/internal/isa"
-	"elag/internal/mech"
 	_ "elag/internal/mech/all" // register the assist mechanisms
 	"elag/internal/pipeline"
 	"elag/internal/profile"
@@ -243,15 +242,16 @@ func (l *Lab) heurFlavors() isa.FlavorOverlay    { return l.HeurFlavors }
 func (l *Lab) reclassFlavors() isa.FlavorOverlay { return l.ReclassFlavors }
 
 // Speedups replays specs in one batch and returns each one's speedup
-// over the base architecture (pipeline.PaperBase, the denominator of every
-// speedup in Section 5), in spec order. The base replay rides in the batch
-// of the lab's first call and its cycle count is cached for later ones, so
-// every call streams the program exactly once. Only success is cached: a
-// replay cancelled by ctx returns the ctx error without poisoning the lab.
+// over the base architecture (the zero pipeline.Config, the denominator
+// of every speedup in Section 5), in spec order. The base replay rides in
+// the batch of the lab's first call and its cycle count is cached for
+// later ones, so every call streams the program exactly once. Only success
+// is cached: a replay cancelled by ctx returns the ctx error without
+// poisoning the lab.
 func (l *Lab) Speedups(ctx context.Context, specs []pipeline.BatchSpec) ([]float64, error) {
 	base := l.baseCycles.Load()
 	if base == 0 {
-		specs = append([]pipeline.BatchSpec{{Config: pipeline.PaperBase()}}, specs...)
+		specs = append([]pipeline.BatchSpec{{Config: pipeline.Config{}}}, specs...)
 	}
 	ms, err := l.SimulateBatch(ctx, specs)
 	if err != nil {
@@ -270,59 +270,4 @@ func (l *Lab) Speedups(ctx context.Context, specs []pipeline.BatchSpec) ([]float
 		sp[i] = float64(base) / float64(m.Cycles)
 	}
 	return sp, nil
-}
-
-// Standard hardware configurations of Section 5, expressed as mechanism
-// registry specs (internal/mech) — the one spelling of the hardware, shared
-// with the CLI flags and the serve job API.
-
-// CompilerDual is the paper's proposal: 256-entry table + 1 R_addr,
-// compiler-selected flavours.
-func CompilerDual() pipeline.Config { return pipeline.PaperCompilerDirected() }
-
-// Assist wraps one registry spec as a configuration: the mechanism drives
-// every load through the assist path, regardless of flavour.
-func Assist(spec mech.Spec) pipeline.Config {
-	return pipeline.Config{Mechanisms: []mech.Spec{spec}}
-}
-
-// HWPredict is hardware-only table prediction with the given table size
-// (Figure 5a without compiler support).
-func HWPredict(entries int) pipeline.Config {
-	return pipeline.Config{
-		Select:     pipeline.SelAllPredict,
-		Mechanisms: []mech.Spec{{Kind: "addrpred", Entries: entries}},
-	}
-}
-
-// CompilerPredict is table-only hardware with compiler support: only loads
-// the heuristics marked predictable enter the table (Figure 5a "with
-// compiler support").
-func CompilerPredict(entries int) pipeline.Config {
-	return pipeline.Config{
-		Select:     pipeline.SelCompiler,
-		Mechanisms: []mech.Spec{{Kind: "addrpred", Entries: entries}},
-		// No register cache: ld_e loads behave like normal loads.
-	}
-}
-
-// HWEarly is hardware-only early calculation with n cached registers
-// (Figure 5b).
-func HWEarly(n int) pipeline.Config {
-	return pipeline.Config{
-		Select:     pipeline.SelAllEarly,
-		Mechanisms: []mech.Spec{{Kind: "earlycalc", Entries: n}},
-	}
-}
-
-// HWDual is the hardware-only dual-path scheme steered by the
-// Eickemeyer-Vassiliadis interlock heuristic (Figure 5c "no compiler").
-func HWDual(entries, regs int) pipeline.Config {
-	return pipeline.Config{
-		Select: pipeline.SelHWDual,
-		Mechanisms: []mech.Spec{
-			{Kind: "addrpred", Entries: entries},
-			{Kind: "earlycalc", Entries: regs},
-		},
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"elag"
 	"elag/internal/harness"
 	"elag/internal/pipeline"
 	"elag/internal/workload"
@@ -35,7 +36,7 @@ func TestLabPreparesEverything(t *testing.T) {
 	}
 	// The lab's result is the profiler's run; a replay re-streams the same
 	// execution, so it retires exactly as many instructions.
-	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: pipeline.PaperBase()}})
+	ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{{Config: pipeline.Config{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestSpeedupsAtLeastNotAbsurd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []pipeline.BatchSpec{{Config: harness.CompilerDual(), Flavors: l.HeurFlavors}}
+	specs := []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.HeurFlavors}}
 	sp, err := l.Speedups(ctx, specs)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -35,66 +34,26 @@ type BenchDocument struct {
 	FigureMech *Figure `json:"figuremech,omitempty"`
 }
 
-// Document runs every experiment and collects the artifacts.
+// Document runs every experiment DocumentExp("all") selects and collects
+// the artifacts.
 func (r *Runner) Document(ctx context.Context) (*BenchDocument, error) {
-	doc := &BenchDocument{Schema: BenchSchema, Fuel: r.Fuel}
-	var err error
-	if doc.Table2, err = r.Table2(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Table3, err = r.Table3(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Table4, err = r.Table4(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Figure5a, err = r.Figure5a(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Figure5b, err = r.Figure5b(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Figure5c, err = r.Figure5c(ctx); err != nil {
-		return nil, err
-	}
-	if doc.Embedded, err = r.Embedded(ctx); err != nil {
-		return nil, err
-	}
-	return doc, nil
+	return r.DocumentExp(ctx, "all")
 }
 
-// DocumentExp runs one named experiment into an otherwise-empty document
-// ("" or "all" runs everything, same as Document). Narrow documents share
+// DocumentExp runs the experiments SelectExperiments(exp) selects, in
+// print order, into an otherwise-empty document. Narrow documents share
 // the full document's per-row artifact cache when Runner.Artifacts is
 // set: running "all" warms every narrower selection and vice versa.
 func (r *Runner) DocumentExp(ctx context.Context, exp string) (*BenchDocument, error) {
-	if exp == "" || exp == "all" {
-		return r.Document(ctx)
-	}
-	doc := &BenchDocument{Schema: BenchSchema, Fuel: r.Fuel}
-	var err error
-	switch exp {
-	case "table2":
-		doc.Table2, err = r.Table2(ctx)
-	case "table3":
-		doc.Table3, err = r.Table3(ctx)
-	case "table4":
-		doc.Table4, err = r.Table4(ctx)
-	case "fig5a":
-		doc.Figure5a, err = r.Figure5a(ctx)
-	case "fig5b":
-		doc.Figure5b, err = r.Figure5b(ctx)
-	case "fig5c":
-		doc.Figure5c, err = r.Figure5c(ctx)
-	case "embedded":
-		doc.Embedded, err = r.Embedded(ctx)
-	case "figmech":
-		doc.FigureMech, err = r.FigureMech(ctx)
-	default:
-		err = fmt.Errorf("unknown experiment %q", exp)
-	}
+	sel, err := SelectExperiments(exp)
 	if err != nil {
 		return nil, err
+	}
+	doc := &BenchDocument{Schema: BenchSchema, Fuel: r.Fuel}
+	for _, e := range sel {
+		if err := e.run(r, ctx, doc); err != nil {
+			return nil, err
+		}
 	}
 	return doc, nil
 }

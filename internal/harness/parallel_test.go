@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"elag"
 	"elag/internal/harness"
 	"elag/internal/pipeline"
 	"elag/internal/workload"
@@ -77,7 +78,7 @@ func TestLabSingleFlight(t *testing.T) {
 				return
 			}
 			labs[i] = l
-			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: harness.CompilerDual(), Flavors: l.HeurFlavors}})
+			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.HeurFlavors}})
 			if err != nil {
 				t.Error(err)
 				return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"elag"
 	"elag/internal/core"
 	"elag/internal/pipeline"
 	"elag/internal/workload"
@@ -110,7 +111,7 @@ func (r *Runner) Table3(ctx context.Context) ([]Table3Row, error) {
 	err := r.forEachLabCached(ctx, "table3", nil, benches,
 		func(i int) any { return &rows[i] },
 		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: CompilerDual(), Flavors: l.ReclassFlavors}})
+			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.ReclassFlavors}})
 			if err != nil {
 				return err
 			}
@@ -168,7 +169,7 @@ func (r *Runner) Table4(ctx context.Context) ([]Table4Row, error) {
 	err := r.forEachLabCached(ctx, "table4", nil, benches,
 		func(i int) any { return &rows[i] },
 		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: CompilerDual(), Flavors: l.HeurFlavors}})
+			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.HeurFlavors}})
 			if err != nil {
 				return err
 			}

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"elag/internal/diffcheck"
-	"elag/internal/harness"
 	"elag/internal/mech"
 	_ "elag/internal/mech/all"
+	"elag/internal/pipeline"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -40,7 +40,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	// The string is the spelling of a spec in labels, flags and job
 	// specs, so every spec the repository configures must validate and
 	// parse back from its String form.
-	specs := append([]mech.Spec(nil), harness.MechFigureSpecs...)
+	specs := append([]mech.Spec(nil), pipeline.AssistSpecs...)
 	for _, nc := range append(diffcheck.DefaultConfigs(), diffcheck.MechConfigs()...) {
 		specs = append(specs, nc.Config.Mechanisms...)
 	}

@@ -37,21 +37,69 @@ const (
 	SelHWDual
 )
 
-// String names the selection policy.
+// Machine is one of the paper's Section 5 machines: a selection policy
+// and the default sizes of the structures it drives. Its name is the one
+// spelling of the machine in -config, serve's configs[].name, diffcheck's
+// labels and Selection.String.
+type Machine struct {
+	Name   string
+	Select Selection
+	// Table is the default "addrpred" prediction-table entries and Regs
+	// the default "earlycalc" register-cache registers; 0 means the
+	// selection drives no such structure.
+	Table, Regs int
+}
+
+// Machines lists the paper's machines, one per selection, in the order
+// the tools print them.
+var Machines = []Machine{
+	{"base", SelNone, 0, 0},
+	{"hw-pred", SelAllPredict, 256, 0},
+	{"hw-early", SelAllEarly, 0, 16},
+	{"hw-dual", SelHWDual, 256, 16},
+	{"compiler", SelCompiler, 256, 1},
+}
+
+// machine returns s's row of Machines.
+func (s Selection) machine() (Machine, bool) {
+	for _, m := range Machines {
+		if m.Select == s {
+			return m, true
+		}
+	}
+	return Machine{}, false
+}
+
+// String names the selection by its machine.
 func (s Selection) String() string {
-	switch s {
-	case SelNone:
-		return "none"
-	case SelCompiler:
-		return "compiler"
-	case SelAllPredict:
-		return "hw-predict"
-	case SelAllEarly:
-		return "hw-early"
-	case SelHWDual:
-		return "hw-dual"
+	if m, ok := s.machine(); ok {
+		return m.Name
 	}
 	return "?"
+}
+
+// Config returns the base architecture steered by s, with an "addrpred"
+// prediction table of table entries and an "earlycalc" register cache of
+// regs registers. A size of 0 leaves that structure out, and so does a
+// selection that never drives it.
+func (s Selection) Config(table, regs int) Config {
+	m, _ := s.machine()
+	c := Config{Select: s}
+	if table != 0 && m.Table != 0 {
+		c.Mechanisms = append(c.Mechanisms, mech.Spec{Kind: "addrpred", Entries: table})
+	}
+	if regs != 0 && m.Regs != 0 {
+		c.Mechanisms = append(c.Mechanisms, mech.Spec{Kind: "earlycalc", Entries: regs})
+	}
+	return c
+}
+
+// AssistSpecs are the assist mechanisms at their reference geometries:
+// FigureMech's columns and diffcheck's MechConfigs. The list is data so a
+// new registry kind joins both by appending one spec.
+var AssistSpecs = []mech.Spec{
+	{Kind: "stride", Entries: 256},
+	{Kind: "pcax", Entries: 256, Assoc: 4},
 }
 
 // Config parameterizes the timing model. The zero value, passed through
@@ -88,34 +136,16 @@ type Config struct {
 	Select Selection
 
 	// Mechanisms attaches load-acceleration hardware by registry spec
-	// (see package mech); it is the only way to configure any. An
-	// "addrpred" spec instantiates the PC-indexed address prediction
-	// table, which Select must use (SelCompiler, SelAllPredict,
-	// SelHWDual). An "earlycalc" spec instantiates the early-calculation
-	// addressing register cache (Entries 1 is the paper's R_addr), which
-	// Select must use too (SelCompiler, SelAllEarly, SelHWDual). Each
-	// appears at most once. At most one spec of any other kind may
+	// (see package mech and Selection.Config); it is the only way to
+	// configure any. An "addrpred" spec instantiates the PC-indexed
+	// address prediction table and an "earlycalc" spec the
+	// early-calculation addressing register cache (Entries 1 is the
+	// paper's R_addr); Select's machine must drive each (a nonzero
+	// Machine.Table or Regs), and each appears at most once. At most one spec of any other kind may
 	// appear: it attaches as the assist mechanism, which drives every
 	// load through the registry interface and is mutually exclusive with
 	// the paper mechanisms.
 	Mechanisms []mech.Spec
-}
-
-// PaperBase returns the base architecture configuration without early
-// address generation.
-func PaperBase() Config { return Config{} }
-
-// PaperCompilerDirected returns the paper's headline configuration: a
-// 256-entry direct-mapped prediction table plus a single compiler-directed
-// addressing register, with compiler-selected load flavours.
-func PaperCompilerDirected() Config {
-	return Config{
-		Select: SelCompiler,
-		Mechanisms: []mech.Spec{
-			{Kind: "addrpred", Entries: 256},
-			{Kind: "earlycalc", Entries: 1},
-		},
-	}
 }
 
 func (c *Config) fill() {
@@ -172,7 +202,8 @@ func (c Config) Validate() error {
 	if err := c.BTB.Validate(); err != nil {
 		return fmt.Errorf("pipeline: btb: %w", err)
 	}
-	if c.Select > SelHWDual {
+	m, ok := c.Select.machine()
+	if !ok {
 		return fmt.Errorf("pipeline: unknown selection policy %d", c.Select)
 	}
 	var nPred, nRC, nAssist int
@@ -183,12 +214,12 @@ func (c Config) Validate() error {
 		switch sp.Kind {
 		case "addrpred":
 			nPred++
-			if c.Select != SelCompiler && c.Select != SelAllPredict && c.Select != SelHWDual {
+			if m.Table == 0 {
 				return fmt.Errorf("pipeline: mechanism %s: selection %s never uses the prediction table", sp, c.Select)
 			}
 		case "earlycalc":
 			nRC++
-			if c.Select != SelCompiler && c.Select != SelAllEarly && c.Select != SelHWDual {
+			if m.Regs == 0 {
 				return fmt.Errorf("pipeline: mechanism %s: selection %s never uses the register cache", sp, c.Select)
 			}
 		default:

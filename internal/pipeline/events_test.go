@@ -6,7 +6,6 @@ import (
 
 	"elag/internal/asm/asmtest"
 	"elag/internal/emu"
-	"elag/internal/mech"
 )
 
 // obsProg exercises both speculation paths, stores (mem-interlock), a
@@ -22,7 +21,7 @@ const obsProgBody = `
 `
 
 func obsConfig() Config {
-	return Config{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(64), rcSpec(1)}}
+	return SelCompiler.Config(64, 1)
 }
 
 func obsTrace(t *testing.T) (*emu.Trace, *Sim) {
@@ -163,13 +162,9 @@ func sumPathStats(rows []LoadPCStats, early bool) PathStats {
 // to the global counters, for every PathStats field plus loads, latency
 // sum and the zero/one-cycle forward counts.
 func TestPerPCCounterAlgebra(t *testing.T) {
-	for _, cfg := range []Config{
-		obsConfig(),
-		{Select: SelAllPredict, Mechanisms: []mech.Spec{predSpec(64)}},
-		{Select: SelAllEarly, Mechanisms: []mech.Spec{rcSpec(1)}},
-		{Select: SelHWDual, Mechanisms: []mech.Spec{predSpec(64), rcSpec(1)}},
-	} {
-		sel := cfg.Select
+	// Every machine but base, with a 64-entry table and one register.
+	for _, m := range Machines[1:] {
+		sel, cfg := m.Select, m.Select.Config(64, 1)
 		p := asmtest.MustAssemble(t, loopOf(3000, obsProgBody))
 		_, trace, err := emu.RunTrace(p, 10_000_000)
 		if err != nil {

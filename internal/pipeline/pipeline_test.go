@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,13 +9,7 @@ import (
 	"elag/internal/asm/asmtest"
 	"elag/internal/emu"
 	"elag/internal/isa"
-	"elag/internal/mech"
 )
-
-// predSpec and rcSpec spell the paper's prediction table and register
-// cache with n entries.
-func predSpec(n int) mech.Spec { return mech.Spec{Kind: "addrpred", Entries: n} }
-func rcSpec(n int) mech.Spec   { return mech.Spec{Kind: "earlycalc", Entries: n} }
 
 func sim(t *testing.T, cfg Config, src string) *Metrics {
 	t.Helper()
@@ -87,7 +80,7 @@ func TestBaseLoadUseStall(t *testing.T) {
 }
 
 func TestPredictPathForwardsStridedLoad(t *testing.T) {
-	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(256)}}
+	cfg := SelCompiler.Config(256, 0)
 	// 6000 iterations x 8 bytes stay within the 64K cache, so nearly
 	// every speculative access is a true hit.
 	m := sim(t, cfg, loopOf(6000, `
@@ -136,7 +129,7 @@ func TestPredictPathUselessOnRandomAddresses(t *testing.T) {
 		blt r9, 20000, loop
 		halt r0
 	`
-	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(64)}}
+	cfg := SelCompiler.Config(64, 0)
 	m := sim(t, cfg, src)
 	// The ring hops 0 -> 32 -> 96 -> 0 ... with unequal strides, so the
 	// stride machine stays in learning most of the time.
@@ -146,7 +139,7 @@ func TestPredictPathUselessOnRandomAddresses(t *testing.T) {
 }
 
 func TestEarlyPathZeroCycleLoads(t *testing.T) {
-	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
+	cfg := SelCompiler.Config(0, 1)
 	// Stable base register: every ld_e after the first should forward
 	// with zero effective latency.
 	m := sim(t, cfg, loopOf(10000, `
@@ -165,7 +158,7 @@ func TestEarlyPathZeroCycleLoads(t *testing.T) {
 }
 
 func TestEarlyPathBindingSwitchMisses(t *testing.T) {
-	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
+	cfg := SelCompiler.Config(0, 1)
 	// Two ld_e loads alternating base registers: each rebinds R_addr,
 	// so each misses (the "binding just switched" case).
 	m := sim(t, cfg, loopOf(10000, `
@@ -176,7 +169,7 @@ func TestEarlyPathBindingSwitchMisses(t *testing.T) {
 		t.Errorf("alternating bindings should mostly miss: %+v", m.Early)
 	}
 	// With two cached registers both bases stay resident.
-	cfg.Mechanisms = []mech.Spec{rcSpec(2)}
+	cfg = SelCompiler.Config(0, 2)
 	m2 := sim(t, cfg, loopOf(10000, `
 		ld8_e r1, r20(0)
 		ld8_e r2, r21(0)
@@ -187,7 +180,7 @@ func TestEarlyPathBindingSwitchMisses(t *testing.T) {
 }
 
 func TestMemInterlockSuppressesForwarding(t *testing.T) {
-	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
+	cfg := SelCompiler.Config(0, 1)
 	// A store to the loaded address right before the load: the
 	// speculative data would be stale, so the formula must veto it.
 	m := sim(t, cfg, loopOf(10000, `
@@ -289,7 +282,7 @@ func TestALULimit(t *testing.T) {
 
 func TestSelectionPolicyNames(t *testing.T) {
 	names := map[Selection]string{
-		SelNone: "none", SelCompiler: "compiler", SelAllPredict: "hw-predict",
+		SelNone: "base", SelCompiler: "compiler", SelAllPredict: "hw-pred",
 		SelAllEarly: "hw-early", SelHWDual: "hw-dual",
 	}
 	for sel, want := range names {
@@ -300,7 +293,7 @@ func TestSelectionPolicyNames(t *testing.T) {
 }
 
 func TestHWDualSteering(t *testing.T) {
-	cfg := Config{Select: SelHWDual, Mechanisms: []mech.Spec{predSpec(256), rcSpec(16)}}
+	cfg := SelHWDual.Config(256, 16)
 	// A chase load (base interlocked) must be steered to the predictor.
 	m := sim(t, cfg, `
 		.data
@@ -371,10 +364,6 @@ func TestConfigFillDefaults(t *testing.T) {
 	if c.LatMul != 3 || c.LatDiv != 8 || c.LatFP != 2 {
 		t.Errorf("latency defaults: %+v", c)
 	}
-	pc := PaperCompilerDirected()
-	if want := []mech.Spec{predSpec(256), rcSpec(1)}; !reflect.DeepEqual(pc.Mechanisms, want) || pc.Select != SelCompiler {
-		t.Errorf("paper config wrong: %+v", pc)
-	}
 }
 
 func TestListingHasNoSurprises(t *testing.T) {
@@ -427,7 +416,7 @@ func TestStageTraceRecordsAndRenders(t *testing.T) {
 }
 
 func TestStageTraceMarksForwardedLoads(t *testing.T) {
-	cfg := Config{Select: SelCompiler, Mechanisms: []mech.Spec{rcSpec(1)}}
+	cfg := SelCompiler.Config(0, 1)
 	p := asmtest.MustAssemble(t, loopOf(50, `
 		ld8_e r1, r20(0)
 		add r2, r1, 1

@@ -8,7 +8,6 @@ import (
 
 	"elag/internal/asm"
 	"elag/internal/emu"
-	"elag/internal/mech"
 )
 
 // genProgram builds a random but well-formed program: a loop over a mix of
@@ -55,10 +54,10 @@ func genProgram(seed int64) string {
 func TestRandomProgramsAllConfigsAgree(t *testing.T) {
 	cfgs := []Config{
 		{},
-		{Select: SelCompiler, Mechanisms: []mech.Spec{predSpec(64), rcSpec(1)}},
-		{Select: SelAllPredict, Mechanisms: []mech.Spec{predSpec(16)}},
-		{Select: SelAllEarly, Mechanisms: []mech.Spec{rcSpec(4)}},
-		{Select: SelHWDual, Mechanisms: []mech.Spec{predSpec(64), rcSpec(4)}},
+		SelCompiler.Config(64, 1),
+		SelAllPredict.Config(16, 0),
+		SelAllEarly.Config(0, 4),
+		SelHWDual.Config(64, 4),
 	}
 	for seed := int64(1); seed <= 25; seed++ {
 		src := genProgram(seed)

@@ -14,7 +14,6 @@ import (
 	"elag/internal/asm/asmtest"
 	"elag/internal/emu"
 	"elag/internal/isa"
-	"elag/internal/mech"
 )
 
 // eventLog is an EventSink keeping a copy of every event, in order.
@@ -33,15 +32,14 @@ func (s *panicSink) Event(*Event) {
 }
 
 // machines is a batch shaped like elag-sim -all's: the five paper
-// machines, enough to give each of four lanes a sim.
+// machines at their default geometries, enough to give each of four lanes
+// a sim.
 func machines() []Config {
-	return []Config{
-		PaperBase(),
-		{Select: SelAllPredict, Mechanisms: []mech.Spec{predSpec(256)}},
-		{Select: SelAllEarly, Mechanisms: []mech.Spec{rcSpec(16)}},
-		{Select: SelHWDual, Mechanisms: []mech.Spec{predSpec(256), rcSpec(16)}},
-		PaperCompilerDirected(),
+	var cfgs []Config
+	for _, m := range Machines {
+		cfgs = append(cfgs, m.Select.Config(m.Table, m.Regs))
 	}
+	return cfgs
 }
 
 // settleGoroutines waits for the goroutine count to fall back to before:

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"elag"
+	"elag/internal/harness"
 	"elag/internal/workload"
 )
 
@@ -58,10 +59,10 @@ type JobSpec struct {
 	// architectural execution in order.
 	Configs []ConfigSpec `json:"configs,omitempty"`
 
-	// Exp narrows a grid job to one experiment (table2, table3, table4,
-	// fig5a, fig5b, fig5c, embedded). Empty or "all" runs the full
-	// document. Narrow grids share the full document's per-row artifact
-	// cache, so an "all" run warms every narrower one and vice versa.
+	// Exp narrows a grid job to one experiment of harness.Experiments,
+	// figmech included. Empty or "all" runs the full document, which
+	// leaves figmech out. Narrow grids share the full document's per-row
+	// artifact cache: an "all" run warms every narrower one and vice versa.
 	Exp string `json:"exp,omitempty"`
 
 	// Fuel bounds the dynamic instruction count. Simulate and grid jobs
@@ -93,11 +94,11 @@ type ConfigSpec struct {
 	Mech string `json:"mech,omitempty"`
 }
 
-// Config resolves the spec to a simulator configuration: the named base
-// vocabulary plus the optional mechanism. The resolved configuration is
-// validated, so a Mech that conflicts with the named hardware (an assist
-// on a configuration that already has a prediction table) is an error
-// here, at admission, not at job execution.
+// Config resolves the spec to a simulator configuration: the named machine
+// plus the optional mechanism. The resolved configuration is validated, so
+// a bad geometry (a 3-entry table) or a Mech that conflicts with the named
+// hardware (an assist on a machine that already has a prediction table) is
+// an error here, at admission, not at job execution.
 func (c ConfigSpec) Config() (elag.SimConfig, error) {
 	cfg, err := elag.NamedConfig(c.Name, c.Table, c.Regs)
 	if err != nil {
@@ -109,11 +110,8 @@ func (c ConfigSpec) Config() (elag.SimConfig, error) {
 			return cfg, err
 		}
 		cfg.Mechanisms = append(cfg.Mechanisms, sp)
-		if err := cfg.Validate(); err != nil {
-			return cfg, err
-		}
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // Label is the spec's display name: the config name, qualified by the
@@ -264,11 +262,11 @@ func (spec *JobSpec) Validate(lim Limits) error {
 				Reason: fmt.Sprintf("%d exceeds the %d-configuration budget", len(spec.Configs), lim.MaxConfigs)}
 		}
 		for i, c := range spec.Configs {
-			if _, err := c.Config(); err != nil {
-				return &SpecError{Field: fmt.Sprintf("configs[%d]", i), Reason: err.Error()}
-			}
 			if c.Table < 0 || c.Regs < 0 {
 				return &SpecError{Field: fmt.Sprintf("configs[%d]", i), Reason: "table and regs must be non-negative"}
+			}
+			if _, err := c.Config(); err != nil {
+				return &SpecError{Field: fmt.Sprintf("configs[%d]", i), Reason: err.Error()}
 			}
 		}
 		if spec.Fuel == 0 {
@@ -281,9 +279,8 @@ func (spec *JobSpec) Validate(lim Limits) error {
 		if spec.Source != "" || spec.Workload != "" || len(spec.Configs) != 0 || spec.Opt != "" {
 			return &SpecError{Field: "kind", Reason: "grid jobs run the built-in suite and take only exp/fuel/chunk/deadline"}
 		}
-		if !gridExps[spec.Exp] {
-			return &SpecError{Field: "exp",
-				Reason: fmt.Sprintf("unknown experiment %q (want all, table2, table3, table4, fig5a, fig5b, fig5c, embedded, or figmech)", spec.Exp)}
+		if _, err := harness.SelectExperiments(spec.Exp); err != nil {
+			return &SpecError{Field: "exp", Reason: err.Error()}
 		}
 		if spec.Fuel == 0 {
 			return &SpecError{Field: "fuel", Reason: "grid jobs must state a fuel budget"}
@@ -298,14 +295,6 @@ func (spec *JobSpec) Validate(lim Limits) error {
 		return &SpecError{Field: "exp", Reason: "only grid jobs select an experiment"}
 	}
 	return nil
-}
-
-// gridExps is the experiment vocabulary of JobSpec.Exp.
-var gridExps = map[string]bool{
-	"": true, "all": true,
-	"table2": true, "table3": true, "table4": true,
-	"fig5a": true, "fig5b": true, "fig5c": true,
-	"embedded": true, "figmech": true,
 }
 
 // Deadline returns the job's effective wall-time budget under lim: its own

@@ -300,6 +300,10 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 			`"configs":[{"name":"warp"}],"fuel":1000}`,
 		`{"kind":"simulate","source":"int main(){return 0;}",` + // paper structure base never uses
 			`"configs":[{"name":"base","mech":"addrpred:1024"}],"fuel":1000}`,
+		`{"kind":"simulate","source":"int main(){return 0;}",` + // bad table geometry
+			`"configs":[{"name":"compiler","table":3}],"fuel":1000}`,
+		`{"kind":"simulate","source":"int main(){return 0;}",` + // bad register-cache geometry
+			`"configs":[{"name":"hw-dual","regs":100000}],"fuel":1000}`,
 		`{"kind":"simulate","source":"int main(){return 0;}",` + // over fuel budget
 			`"configs":[{"name":"base"}],"fuel":999999999999}`,
 		`{"kind":"simulate","source":"int main(){return 0;}",` + // over deadline budget
@@ -323,6 +327,12 @@ func TestRejectsInvalidSpecs(t *testing.T) {
 		}
 		if doc.Schema != Schema || doc.Error == nil || doc.Error.Kind != ErrKindInvalid {
 			t.Errorf("body %.60q: error doc %s, want schema %q kind %q", body, raw, Schema, ErrKindInvalid)
+			continue
+		}
+		// Bad geometry is rejected at admission, naming the config.
+		geometry := strings.Contains(body, `"table":3}`) || strings.Contains(body, `"regs":100000}`)
+		if geometry && !strings.Contains(doc.Error.Message, "configs[0]:") {
+			t.Errorf("body %.60q: error %q, want one naming field configs[0]", body, doc.Error.Message)
 		}
 	}
 

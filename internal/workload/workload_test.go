@@ -1,10 +1,10 @@
 package workload_test
 
 import (
-	"strings"
 	"testing"
 
 	"elag"
+	"elag/internal/pipeline"
 	"elag/internal/workload"
 )
 
@@ -82,30 +82,23 @@ func TestArchitecturalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: runs several timing configs per workload")
 	}
-	cfgs := map[string]elag.SimConfig{}
-	for _, name := range strings.Split(elag.ConfigNames, "|") {
-		cfg, err := elag.NamedConfig(name, 256, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgs[name] = cfg
-	}
 	for _, w := range workload.All() {
 		p, err := elag.Build(w.Source, elag.BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: build: %v", w.Name, err)
 		}
 		var golden string
-		for name, cfg := range cfgs {
-			_, res, err := p.Simulate(cfg, maxDynamicInsts)
+		// Every machine, with a 256-entry table where it has one.
+		for _, m := range pipeline.Machines {
+			_, res, err := p.Simulate(m.Select.Config(256, m.Regs), maxDynamicInsts)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", w.Name, name, err)
+				t.Fatalf("%s/%s: %v", w.Name, m.Name, err)
 			}
 			if golden == "" {
 				golden = res.Output()
 			} else if res.Output() != golden {
 				t.Errorf("%s/%s: output diverged:\n got %s\nwant %s",
-					w.Name, name, res.Output(), golden)
+					w.Name, m.Name, res.Output(), golden)
 			}
 		}
 	}
