@@ -141,7 +141,8 @@ type (
 )
 
 // DefaultChunkSize is the streaming-trace chunk size used when a chunked
-// entry point is passed chunkSize <= 0.
+// entry point is passed chunkSize <= 0. A replay's trace ring holds eight
+// such chunks.
 const DefaultChunkSize = emu.DefaultChunkSize
 
 // Selection policies (see pipeline.Selection).
@@ -444,14 +445,16 @@ func (p *Program) Simulate(cfg SimConfig, fuel int64) (*Metrics, RunResult, erro
 // SimulateBatchContext emulates the program once and replays its trace
 // under every spec in a single streamed pass (see pipeline.Replay): one
 // architectural execution amortized over N configurations, replayed on up
-// to GOMAXPROCS lanes while the next chunk is emulated. Trace memory is
-// O(chunkSize) (<= 0 for DefaultChunkSize) regardless of fuel. Metrics are
-// returned in spec order and are bit-identical to N independent Simulate
-// calls at any chunk size and GOMAXPROCS; a spec's Sink and PerPC observe
-// its simulation without perturbing it, and the Sink is called from its
-// lane's goroutine.
-// ctx is checked between chunks, so a batch over a pathological program
-// aborts within one chunk of ctx being cancelled.
+// to GOMAXPROCS lanes while the emulator runs up to a ring of chunks
+// ahead. Trace memory is O(chunkSize) (<= 0 for DefaultChunkSize)
+// regardless of fuel: at most 32,768 entries or two chunks, whichever is
+// more. Metrics are returned in spec order and are bit-identical to N
+// independent Simulate calls at any chunk size and GOMAXPROCS; a spec's
+// Sink and PerPC observe its simulation without perturbing it, and the
+// Sink is called from its lane's goroutine.
+// ctx is checked before each chunk, by the emulator and by every lane, so
+// a batch over a pathological program aborts within one chunk of work per
+// lane of ctx being cancelled.
 func (p *Program) SimulateBatchContext(ctx context.Context, specs []BatchSpec, fuel int64, chunkSize int) ([]*Metrics, RunResult, error) {
 	return pipeline.Replay(ctx, p.Machine, specs, pipeline.Options{Fuel: fuel, Chunk: chunkSize})
 }

@@ -302,7 +302,7 @@ func (c *CPU) Step(te *TraceEntry) error {
 // (no append regrowth). A Trace is immutable after RunTrace returns; any
 // number of timing simulations may replay it concurrently. Chunks handed
 // out by StreamTrace are the exception: they are recycled, and stay intact
-// only until the next yield returns.
+// only until RingDepth(chunkSize)-1 further yields have returned.
 type Trace struct {
 	// Seq0 is the dynamic sequence number of entry 0: zero for a whole
 	// materialized trace, the running instruction count for a chunk of a
@@ -397,24 +397,39 @@ func RunTrace(prog *isa.Program, fuel int64) (Result, *Trace, error) {
 // DefaultChunkSize is the streaming chunk size used when a caller passes
 // chunkSize <= 0: 4096 entries ≈ 100 KB of columns, small enough to stay
 // resident in L2 while every batched pipeline state replays it, large
-// enough that per-chunk overhead vanishes.
+// enough that per-chunk overhead vanishes. StreamTrace's ring holds
+// RingDepth(DefaultChunkSize) = 8 such chunks, about 800 KB.
 const DefaultChunkSize = 4096
+
+// RingDepth is the number of chunk buffers StreamTrace recycles at
+// chunkSize (<= 0 for DefaultChunkSize): enough for 32,768 entries,
+// clamped to [2, 8], so the ring's memory is bounded by entries rather
+// than by buffer count.
+func RingDepth(chunkSize int) int {
+	if chunkSize <= 0 {
+		chunkSize = DefaultChunkSize
+	}
+	return min(max(32768/chunkSize, 2), 8)
+}
 
 // StreamTrace executes prog like RunTrace but delivers the dynamic trace
 // in fixed-capacity chunks through yield instead of materializing it, so
 // peak trace memory is O(chunkSize) regardless of fuel — the path for
 // 100M+ instruction runs that could never hold a full columnar trace.
 //
-// Chunks are recycled through a two-deep ring: a yielded chunk stays
-// intact until the next yield returns, and no longer (the last one stays
-// intact after StreamTrace returns). A consumer may thus keep replaying
-// chunk k while the emulator fills chunk k+1, provided it is done with
-// chunk k before its next yield returns; one that needs the data longer
-// must copy it. Chunk boundaries carry no meaning — concatenating the
-// yielded chunks reproduces, bit for bit, the trace RunTrace would have
-// built, with Seq0 marking each chunk's position. Unlike RunTrace, no dry
-// counting pass is needed: chunk capacity is fixed up front, so the
-// program is emulated exactly once.
+// Chunks are recycled through a ring of RingDepth(chunkSize) buffers: a
+// yielded chunk stays intact until depth−1 further yields have returned,
+// and no longer (the last depth−1 chunks stay intact after StreamTrace
+// returns). A consumer may thus keep replaying chunk k while the emulator
+// fills chunks k+1 … k+depth−1, provided it is done with chunk k before
+// the yield of chunk k+depth−1 returns; one that needs the data longer
+// must copy it. Each buffer holds min(chunkSize, fuel) entries, so a
+// short run at a huge chunk size costs only what it emulates. Chunk
+// boundaries carry no meaning — concatenating the yielded chunks
+// reproduces, bit for bit, the trace RunTrace would have built, with Seq0
+// marking each chunk's position. Unlike RunTrace, no dry counting pass is
+// needed: chunk capacity is fixed up front, so the program is emulated
+// exactly once.
 //
 // On an architectural fault (including fuel exhaustion) the partial chunk
 // is flushed to yield first, then the fault is returned: consumers observe
@@ -440,9 +455,9 @@ func StreamTraceContext(ctx context.Context, prog *isa.Program, fuel int64, chun
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	ring := [2]*Trace{NewTrace(chunkSize), NewTrace(chunkSize)}
-	cur := 0
-	t := ring[0]
+	ring := newRing(RingDepth(chunkSize), int(min(int64(chunkSize), fuel)))
+	yields := 0
+	t := &ring[0]
 	c := New(prog)
 	var te TraceEntry
 	flush := func() error {
@@ -464,8 +479,8 @@ func StreamTraceContext(ctx context.Context, prog *isa.Program, fuel int64, chun
 		if err := yield(t); err != nil {
 			return err
 		}
-		cur ^= 1
-		t = ring[cur]
+		yields++
+		t = &ring[yields%len(ring)]
 		t.reset(seq)
 		return nil
 	}
@@ -491,6 +506,25 @@ func StreamTraceContext(ctx context.Context, prog *isa.Program, fuel int64, chun
 		}
 	}
 	return c.res, flush()
+}
+
+// newRing returns depth empty chunk buffers of size entries each, carved
+// from one backing array per column, so a deeper ring costs no more
+// allocations than a shallow one.
+func newRing(depth, size int) []Trace {
+	all := NewTrace(depth * size)
+	ring := make([]Trace, depth)
+	for i := range ring {
+		lo, hi := i*size, (i+1)*size
+		ring[i] = Trace{
+			PC:      all.PC[lo:lo:hi],
+			NextPC:  all.NextPC[lo:lo:hi],
+			EA:      all.EA[lo:lo:hi],
+			BaseVal: all.BaseVal[lo:lo:hi],
+			Taken:   all.Taken[lo:lo:hi],
+		}
+	}
+	return ring
 }
 
 func runTrace(prog *isa.Program, fuel int64, t *Trace) (Result, error) {

@@ -3,6 +3,7 @@ package emu
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -172,11 +173,13 @@ func TestTraceRecordsLoadsAndBranches(t *testing.T) {
 	}
 }
 
-// TestStreamTraceRetainsOneRound: a yielded chunk stays intact until the
-// next yield returns — the two-deep ring's guarantee, on which
-// pipeline.Replay's overlap of emulation with replay rests. Chunk k's
-// columns, copied when it was yielded, must be unchanged while chunk k+1
-// is being yielded.
+// TestStreamTraceRetainsOneRound: a yielded chunk stays intact until
+// RingDepth-1 further yields have returned — the ring's guarantee, on
+// which pipeline.Replay's run-ahead of emulation over replay rests. Each
+// chunk's columns, copied when it was yielded, must be unchanged at each
+// of the next depth-1 yields, at a chunk size with the deepest ring and at
+// one with the shallowest; and the ring must recycle exactly depth
+// buffers, which bounds its memory.
 func TestStreamTraceRetainsOneRound(t *testing.T) {
 	p := asmtest.MustAssemble(t, `
 	main:	li r1, 0
@@ -184,7 +187,7 @@ func TestStreamTraceRetainsOneRound(t *testing.T) {
 	loop:	ld8_n r3, r2(0)
 		add r2, r2, 8
 		add r1, r1, 1
-		blt r1, 500, loop
+		blt r1, 15000, loop
 		halt r0
 	`)
 	clone := func(c *Trace) *Trace {
@@ -197,21 +200,63 @@ func TestStreamTraceRetainsOneRound(t *testing.T) {
 		d.Taken = append(d.Taken, c.Taken...)
 		return d
 	}
-	var prev, saved *Trace
-	rounds := 0
-	_, err := StreamTrace(p, 0, 64, func(c *Trace) error {
-		if prev != nil && !reflect.DeepEqual(clone(prev), saved) {
-			t.Fatalf("chunk at seq %d changed while the next one was yielded", saved.Seq0)
+	for _, chunk := range []int{64, 16384} {
+		depth := RingDepth(chunk)
+		// recent holds the last depth-1 chunks yielded, oldest first, each
+		// with the copy taken when it was yielded.
+		type kept struct{ c, saved *Trace }
+		var recent []kept
+		buffers := map[*Trace]bool{}
+		rounds := 0
+		_, err := StreamTrace(p, 0, chunk, func(c *Trace) error {
+			for _, k := range recent {
+				if !reflect.DeepEqual(clone(k.c), k.saved) {
+					t.Fatalf("chunk=%d: chunk at seq %d changed within %d yields",
+						chunk, k.saved.Seq0, depth-1)
+				}
+			}
+			if recent = append(recent, kept{c, clone(c)}); len(recent) == depth {
+				recent = recent[1:]
+			}
+			buffers[c] = true
+			rounds++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev, saved = c, clone(c)
-		rounds++
+		if rounds < depth+2 {
+			t.Fatalf("chunk=%d: %d chunks yielded, want at least %d", chunk, rounds, depth+2)
+		}
+		if len(buffers) != depth {
+			t.Fatalf("chunk=%d: %d buffers recycled, want a ring of %d", chunk, len(buffers), depth)
+		}
+	}
+	if RingDepth(64) != 8 || RingDepth(16384) != 2 || RingDepth(0) != RingDepth(DefaultChunkSize) {
+		t.Fatalf("ring depths %d/%d/%d, want 8/2 and the default's at 0",
+			RingDepth(64), RingDepth(16384), RingDepth(0))
+	}
+}
+
+// TestStreamTraceSizedByFuel: a ring buffer never holds more entries than
+// the fuel allows, so a short run at a huge chunk size allocates what it
+// emulates, not what the chunk size would hold (two 1<<22-entry buffers
+// are ~200 MB).
+func TestStreamTraceSizedByFuel(t *testing.T) {
+	p := asmtest.MustAssemble(t, "main: jmp main")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := 0
+	_, err := StreamTrace(p, 1000, 1<<22, func(c *Trace) error {
+		n += c.Len()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFuel) || n != 1000 {
+		t.Fatalf("streamed %d entries, err %v; want 1000 and fuel exhaustion", n, err)
 	}
-	if rounds < 3 {
-		t.Fatalf("%d chunks yielded, want at least 3", rounds)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("streaming 1000 instructions at a 1<<22-entry chunk allocated %d bytes, want < 1 MiB", got)
 	}
 }
 

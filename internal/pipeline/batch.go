@@ -7,11 +7,11 @@ package pipeline
 // stream its megabytes past the sim. Replay instead advances N independent
 // pipeline states through each trace chunk in one pass: the program is
 // emulated exactly once (streamed, O(chunk) memory, no dry counting pass),
-// the sims are spread over one lane goroutine per CPU, and the lanes replay
-// chunk k while the caller emulates chunk k+1. Each Sim is fully
-// independent state, advanced by one goroutine at a time over a chunk no
-// one writes, so the batched metrics are bit-identical to N sequential
-// replays. A single configuration is a batch of one.
+// the sims are spread over one lane goroutine per CPU, and the caller
+// emulates up to a ring's worth of chunks ahead of the lanes. Each Sim is
+// fully independent state, advanced by one goroutine at a time over a
+// chunk no one writes, so the batched metrics are bit-identical to N
+// sequential replays. A single configuration is a batch of one.
 
 import (
 	"context"
@@ -89,12 +89,12 @@ type Options struct {
 	// Chunk is the replay window in trace entries; <= 0 means
 	// emu.DefaultChunkSize. Results are bit-identical at every setting.
 	Chunk int
-	// OnChunk, when non-nil, is called after each chunk has been replayed
-	// through every sim, with the cumulative replayed-entry count and the
-	// size of the chunk just finished. It runs on Replay's goroutine,
-	// strictly between chunks — no lane is replaying while it runs — and
-	// gets no access to the sims, so results are byte-identical with or
-	// without it.
+	// OnChunk, when non-nil, is called once every sim has replayed a
+	// chunk, with the cumulative replayed-entry count and the size of that
+	// chunk. Replay calls it on its own goroutine, in chunk order, and not
+	// once ctx is done; it may run while the lanes replay later chunks,
+	// and it gets no access to the sims, so results are byte-identical
+	// with or without it.
 	OnChunk func(done int64, n int)
 }
 
@@ -104,58 +104,67 @@ type Options struct {
 // is O(o.Chunk) regardless of fuel.
 //
 // The sims are dealt round-robin onto min(GOMAXPROCS, len(specs)) lanes,
-// goroutines that live for the call, and each lane runs RunChunkBatch over
-// its own sims. While the lanes replay chunk k, Replay's goroutine
-// emulates chunk k+1 into the other slot of emu.StreamTrace's two-deep
-// ring; at the next yield it joins chunk k, reports it to OnChunk, checks
-// ctx and only then dispatches chunk k+1. So a cancelled replay returns
-// the ctx error within one chunk of work, and a cancellation from OnChunk
-// lets no further chunk be replayed. A fuel-truncated run is still
-// replayed — prefix timing is valid timing — so fuel exhaustion is not an
-// error here; any other emulation fault is returned after the flushed
-// partial chunk has been replayed.
+// goroutines that live for the call; each lane runs RunChunkBatch over
+// its own sims, one chunk after another in trace order. Replay's
+// goroutine emulates and queues every chunk to every lane as soon as it
+// is yielded. It joins a chunk (waits until every lane has replayed it)
+// only when the emulator is about to refill that chunk's slot of
+// emu.StreamTrace's ring, so the emulator runs up to
+// emu.RingDepth(o.Chunk)-1 chunks ahead of the slowest lane. Chunks are
+// joined, and reported to OnChunk, in trace order. Each lane checks ctx
+// before each chunk, so a cancelled replay stops within one chunk of work
+// per lane; once ctx is done Replay reports no further chunk and returns
+// the ctx error. A fuel-truncated run is still replayed — prefix timing
+// is valid timing — so fuel exhaustion is not an error here; any other
+// emulation fault is returned after every chunk up to the flushed partial
+// one has been replayed, unless replaying one of them failed first.
 func Replay(ctx context.Context, prog *isa.Program, specs []BatchSpec, o Options) ([]*Metrics, emu.Result, error) {
 	sims, err := NewBatch(prog, specs)
 	if err != nil {
 		return nil, emu.Result{}, err
 	}
-	ls := startLanes(sims)
+	// The emulator refills a chunk's slot once depth-1 later chunks have
+	// been yielded, so no more than depth-1 chunks are ever in flight.
+	ls := startLanes(ctx, sims, emu.RingDepth(o.Chunk)-1)
 	defer ls.stop()
 	var done int64
-	inFlight := 0 // entries in the chunk the lanes are replaying; 0 if idle
-	// settle joins the chunk in flight, if any, and reports it.
-	settle := func() error {
-		if inFlight == 0 {
-			return nil
+	var failed error // a failed join or a done ctx: nothing is reported after it
+	// settle joins the oldest chunk in flight and, unless that fails,
+	// reports it.
+	settle := func() {
+		n, err := ls.join()
+		if err == nil {
+			err = ctx.Err()
 		}
-		n := inFlight
-		inFlight = 0
-		if err := ls.join(); err != nil {
-			return err
+		if failed = err; err == nil {
+			done += int64(n)
+			if o.OnChunk != nil {
+				o.OnChunk(done, n)
+			}
 		}
-		done += int64(n)
-		if o.OnChunk != nil {
-			o.OnChunk(done, n)
-		}
-		return nil
 	}
 	res, err := emu.StreamTraceContext(ctx, prog, o.Fuel, o.Chunk, func(chunk *emu.Trace) error {
-		// The previous chunk's ring slot is refilled as soon as this
-		// yield returns, so its replay must finish first.
-		if err := settle(); err != nil {
-			return err
+		// The oldest chunk's slot is refilled as soon as this yield
+		// returns when the queues are full, so its replay must end first.
+		if len(ls.sizes) == cap(ls.sizes) {
+			if settle(); failed != nil {
+				return failed
+			}
 		}
 		if err := ctx.Err(); err != nil { // OnChunk may have cancelled
 			return err
 		}
-		inFlight = chunk.Len()
 		ls.dispatch(chunk)
 		return nil
 	})
-	// However the stream ended, its last chunk may still be in flight. A
-	// replay error there came before anything the emulator hit after it.
-	if serr := settle(); serr != nil {
-		err = serr
+	// However the stream ended, the chunks still in flight are joined in
+	// order: a replay error in one came before anything the emulator hit
+	// after it.
+	for failed == nil && len(ls.sizes) > 0 {
+		settle()
+	}
+	if failed != nil {
+		err = failed
 	}
 	if err != nil && !errors.Is(err, emu.ErrFuel) {
 		return nil, res, err
@@ -170,64 +179,76 @@ func Replay(ctx context.Context, prog *isa.Program, specs []BatchSpec, o Options
 // lanes are Replay's replay goroutines. Lane i owns sims i, i+n, i+2n, …:
 // a batch usually leads with the base machine, the cheapest to replay, and
 // dealing round-robin balances the lanes better than contiguous blocks do
-// (DESIGN §11 has the numbers). Each dispatched chunk gets exactly one
-// result per lane on done, and nothing is allocated per chunk.
+// (DESIGN §11 has the numbers). Each lane replays its queue in order and
+// answers every chunk with one result on its own done queue, and nothing
+// is allocated per chunk.
 type lanes struct {
-	work []chan *emu.Trace // one per lane, closed by stop
-	// done holds one result per lane, so a lane never blocks on it and
-	// stop cannot hang even if Replay unwinds with a chunk in flight.
-	done chan error
-	wg   sync.WaitGroup
+	work  []chan *emu.Trace // one queue per lane, closed by stop
+	done  []chan error      // one result per chunk, per lane
+	sizes chan int          // the length of each chunk in flight, oldest first
+	wg    sync.WaitGroup
 }
 
-func startLanes(sims []*Sim) *lanes {
+// startLanes starts a lane per CPU for sims. Every queue holds inFlight
+// chunks, as many as Replay ever has in flight, so no send ever blocks,
+// not even to a lane that died.
+func startLanes(ctx context.Context, sims []*Sim, inFlight int) *lanes {
 	n := min(runtime.GOMAXPROCS(0), len(sims))
-	ls := &lanes{work: make([]chan *emu.Trace, n), done: make(chan error, n)}
+	ls := &lanes{work: make([]chan *emu.Trace, n), done: make([]chan error, n),
+		sizes: make(chan int, inFlight)}
 	dealt := make([]*Sim, 0, len(sims))
 	for i := range ls.work {
 		from := len(dealt)
 		for j := i; j < len(sims); j += n {
 			dealt = append(dealt, sims[j])
 		}
-		ls.work[i] = make(chan *emu.Trace)
+		ls.work[i] = make(chan *emu.Trace, inFlight)
+		ls.done[i] = make(chan error, inFlight)
 		ls.wg.Add(1)
-		go ls.run(dealt[from:], ls.work[i])
+		go ls.run(ctx, dealt[from:], ls.work[i], ls.done[i])
 	}
 	return ls
 }
 
-// run is one lane: it replays each chunk it receives through its sims and
-// reports the outcome. A panic is reported too, so join can re-raise it on
-// Replay's goroutine, where the caller's recover (elag-serve's worker
-// isolation) catches a simulator bug as before.
-func (ls *lanes) run(sims []*Sim, work <-chan *emu.Trace) {
+// run is one lane: it replays each chunk it receives through its sims,
+// unless ctx is done, and reports the outcome. A panic is reported too,
+// so join can re-raise it on Replay's goroutine, where the caller's
+// recover (elag-serve's worker isolation) catches a simulator bug as
+// before; the lane then exits.
+func (ls *lanes) run(ctx context.Context, sims []*Sim, work <-chan *emu.Trace, done chan<- error) {
 	defer ls.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			ls.done <- lanePanic(fmt.Sprintf("%v\n\nlane goroutine stack:\n%s", r, debug.Stack()))
+			done <- lanePanic(fmt.Sprintf("%v\n\nlane goroutine stack:\n%s", r, debug.Stack()))
 		}
 	}()
 	for chunk := range work {
-		ls.done <- RunChunkBatch(sims, chunk)
+		err := ctx.Err()
+		if err == nil {
+			err = RunChunkBatch(sims, chunk)
+		}
+		done <- err
 	}
 }
 
-// dispatch hands chunk to every lane. Lanes are idle between join and
-// dispatch, so no send waits on a replay.
+// dispatch queues chunk to every lane.
 func (ls *lanes) dispatch(chunk *emu.Trace) {
+	ls.sizes <- chunk.Len()
 	for _, w := range ls.work {
 		w <- chunk
 	}
 }
 
-// join waits until every lane has replayed the dispatched chunk and
-// returns the first error reported. Lanes can only fail on a trace entry
-// outside the program, which every sim rejects identically.
-func (ls *lanes) join() error {
+// join waits until every lane has replayed the oldest chunk in flight and
+// returns its length and the first error reported for it. Lanes can only
+// fail on a trace entry outside the program, which every sim rejects
+// identically, or on a done ctx.
+func (ls *lanes) join() (int, error) {
+	n := <-ls.sizes
 	var first error
 	var crash lanePanic
-	for range ls.work {
-		switch err := (<-ls.done).(type) {
+	for _, d := range ls.done {
+		switch err := (<-d).(type) {
 		case lanePanic:
 			crash = err
 		default:
@@ -239,7 +260,7 @@ func (ls *lanes) join() error {
 	if crash != "" {
 		panic(string(crash))
 	}
-	return first
+	return n, first
 }
 
 // stop ends every lane and returns once they have all exited.

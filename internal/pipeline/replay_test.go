@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +29,24 @@ type panicSink struct{ n int }
 func (s *panicSink) Event(*Event) {
 	if s.n--; s.n == 0 {
 		panic("sink fault")
+	}
+}
+
+// retireSink keeps the highest sequence number its sim retired, and
+// calls cancel, if set, when the sim retires instruction at.
+type retireSink struct {
+	last   int64
+	at     int64
+	cancel func()
+}
+
+func (s *retireSink) Event(ev *Event) {
+	if ev.Kind != EvRetire {
+		return
+	}
+	s.last = max(s.last, ev.Seq)
+	if s.cancel != nil && ev.Seq == s.at {
+		s.cancel()
 	}
 }
 
@@ -60,12 +79,13 @@ func settleGoroutines(t *testing.T, before int) {
 // pathological (1) to longer than the whole trace, reproduces one Sim.Run
 // per spec over the materialized trace — metrics including the per-PC
 // table, the event stream, and the architectural result.
-// OnChunk accounts for every replayed entry, and a ctx cancelled between
-// chunks stops the replay before the next chunk with the ctx error. The
+// OnChunk accounts for every replayed entry, and a ctx cancelled by
+// OnChunk stops the replay with the ctx error and no further report. The
 // fuel truncates the program, so the fuel-exhaustion flush is covered too.
 // The lanes legs replay a five-machine batch on 1, 2 and 4 lanes to fuel
-// exhaustion, through an emulator fault partway through a chunk, and into
-// a panicking sink; every lane must match the serial reference and exit.
+// exhaustion, through an emulator fault partway through a chunk, into a
+// panicking sink and into a ctx cancelled mid-chunk by a sink; every lane
+// must match the serial reference, stop within its ring bound and exit.
 func TestReplay(t *testing.T) {
 	p := asmtest.MustAssemble(t, loopOf(3000, obsProgBody))
 	const fuel = 20_000
@@ -131,8 +151,8 @@ func TestReplay(t *testing.T) {
 					gotRes.DynamicInsts, res.DynamicInsts)
 			}
 
-			// Cancel after the first chunk: no further chunk may be
-			// replayed, and a run with more chunks ahead must stop with
+			// Cancel after the first chunk: no further chunk is
+			// reported, and a run with more chunks ahead must stop with
 			// the ctx error.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -235,6 +255,50 @@ func TestReplay(t *testing.T) {
 			}
 			settleGoroutines(t, before)
 		})
+		// A sink cancels ctx partway through chunk c, outside OnChunk,
+		// while the emulator and the other lanes may have run ahead. The
+		// cancelling sim stops after chunk c, the others within the ring
+		// (chunk c+depth-1), and no chunk that ended after the cancel is
+		// reported.
+		t.Run(fmt.Sprintf("lanes=%d/cancel", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			before := runtime.NumGoroutine()
+			const chunk, c = 1024, 3
+			depth := emu.RingDepth(chunk)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var specs []BatchSpec
+			var sinks []*retireSink
+			for _, cfg := range machines() {
+				sink := &retireSink{}
+				specs = append(specs, BatchSpec{Config: cfg, Sink: sink})
+				sinks = append(sinks, sink)
+			}
+			sinks[3].at, sinks[3].cancel = c*chunk+chunk/2, cancel // lane 1 of 2, lane 3 of 4
+			var reported int64
+			_, _, err := Replay(ctx, p, specs, Options{Fuel: fuel, Chunk: chunk,
+				OnChunk: func(d int64, _ int) { reported = d }})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("replay: err %v, want context.Canceled", err)
+			}
+			if reported > c*chunk {
+				t.Fatalf("OnChunk reported %d entries, want none past chunk %d (%d)", reported, c-1, c*chunk)
+			}
+			for i, sink := range sinks {
+				bound := int64(c+depth)*chunk - 1
+				if i == 3 {
+					bound = (c+1)*chunk - 1
+				}
+				if sink.last > bound {
+					t.Fatalf("spec %d retired instruction %d after the cancel, want none past %d",
+						i, sink.last, bound)
+				}
+			}
+			if sinks[3].last < sinks[3].at {
+				t.Fatalf("cancelling spec retired only %d instructions", sinks[3].last)
+			}
+			settleGoroutines(t, before)
+		})
 	}
 }
 
@@ -245,7 +309,10 @@ func TestReplay(t *testing.T) {
 // per-CPU free lists of goroutines and of parked goroutines' wait records
 // (a garbage collection empties the shared list), so each result is the
 // least of ten such averages; an allocation made per chunk shows in every
-// one of them.
+// one of them. The collector is paused while a window is measured: a
+// collection discards the half-used 16-byte block that allocations under
+// 16 bytes share (NewBatch makes hundreds), so where one lands moves a
+// window's bytes by 16 with the mallocs unchanged.
 func allocsPerRun(runs int, f func()) (mallocs, bytes uint64) {
 	for range 10 {
 		f()
@@ -253,11 +320,14 @@ func allocsPerRun(runs int, f func()) (mallocs, bytes uint64) {
 	mallocs, bytes = math.MaxUint64, math.MaxUint64
 	for range 10 {
 		var before, after runtime.MemStats
+		runtime.GC()
+		gcPercent := debug.SetGCPercent(-1)
 		runtime.ReadMemStats(&before)
 		for range runs {
 			f()
 		}
 		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gcPercent)
 		mallocs = min(mallocs, (after.Mallocs-before.Mallocs)/uint64(runs))
 		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
 	}
@@ -271,9 +341,8 @@ func allocsPerRun(runs int, f func()) (mallocs, bytes uint64) {
 // on four. The per-call totals (NewBatch's sims, the emulator and its
 // ring, the lanes) stay under fixed bounds.
 func TestReplayAllocs(t *testing.T) {
-	// Measured with go1.24 on linux/amd64: 105 allocations before Replay
-	// had lanes, 112 on one lane and 118 on four; 1,566,921 bytes on one
-	// lane and about 1,567,500 on four.
+	// Measured with go1.24 on linux/amd64: 109 allocations and 1,721,809
+	// bytes on one lane, 124 and about 1,723,300 on four.
 	const allocBound, byteBound = 150, 2 << 20
 	// Four lanes may differ by the runtime's free-list refills (see
 	// allocsPerRun), which are smaller than 36 extra chunks' buffers.

@@ -33,7 +33,7 @@ type CompileResult struct {
 // configuration, in spec order. The documents are byte-identical to what
 // elag-sim produces for the same program, configuration, and fuel — the
 // job ran the exact same batched-replay entry point, and the progress
-// instrumentation observes strictly between chunks.
+// instrumentation only observes chunks every sim has finished.
 type SimulateResult struct {
 	// Output is the architectural result (exit code and output streams),
 	// identical across configurations by construction.
@@ -107,13 +107,14 @@ func executeSimulate(j *Job, work *harness.Counters) (any, error) {
 		}
 		specs[i] = elag.BatchSpec{Config: cfg}
 	}
-	// The progress hook runs strictly between chunks, after work has
-	// counted the chunk: it publishes a frame (one atomic load when nobody
-	// subscribed) and never touches simulator state, so results stay
-	// byte-identical with telemetry on or off. Chunk 0 streams at the
-	// default size: the service never materializes a full trace, so peak
-	// memory stays O(chunk) whatever the fuel. A fuel-truncated run is not
-	// an error (prefix timing is valid timing).
+	// The progress hook runs on Replay's goroutine once every sim has
+	// replayed a chunk, after work has counted it, possibly while the
+	// lanes replay later chunks: it publishes a frame (one atomic load
+	// when nobody subscribed) and never touches simulator state, so
+	// results stay byte-identical with telemetry on or off. Chunk 0
+	// streams at the default size: the service never materializes a full
+	// trace, so peak memory stays O(chunk) whatever the fuel. A
+	// fuel-truncated run is not an error (prefix timing is valid timing).
 	metrics, runRes, err := work.Replay(j.ctx, p.Machine, specs, pipeline.Options{
 		Fuel: spec.Fuel, Chunk: spec.Chunk,
 		OnChunk: func(done int64, n int) {
