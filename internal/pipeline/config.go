@@ -183,8 +183,8 @@ func (c Config) Validate() error {
 		{"BranchUnits", c.BranchUnits},
 	}
 	for _, w := range widths {
-		// Resource counters saturate a uint8 per cycle; a zero capacity
-		// would deadlock the issue loop.
+		// Per-cycle use counts are uint8s; with no port, MEM would wait
+		// forever.
 		if w.v < 1 || w.v > 200 {
 			return fmt.Errorf("pipeline: %s (%d) must be in [1,200]", w.name, w.v)
 		}

@@ -27,12 +27,13 @@ const (
 	mfFLoad
 )
 
-// instMeta is the per-static-instruction decode cache.
+// instMeta is the per-static-instruction decode cache. intRegs holds the
+// integer source registers; unused slots hold RegZero, which is never
+// written, so StepInst reads all three.
 type instMeta struct {
 	flags    uint8
 	fu       uint8          // functional unit gating issue (fuNone..fuBr)
 	flavor   isa.LoadFlavor // overlay-resolved load flavour (loads only)
-	nInt     uint8          // integer source registers in intRegs[:nInt]
 	intRegs  [3]isa.Reg
 	fpA, fpB uint8 // FP source registers + 1 (0 = none)
 	wInt     uint8 // integer destination register + 1 (0 = none)
@@ -75,7 +76,6 @@ func buildMeta(prog *isa.Program, cfg *Config, flavors isa.FlavorOverlay) []inst
 			md.fu = fuBr
 		}
 		scratch = in.IntRegsRead(scratch[:0])
-		md.nInt = uint8(len(scratch))
 		copy(md.intRegs[:], scratch)
 		switch in.Op {
 		case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv:

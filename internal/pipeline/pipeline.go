@@ -36,39 +36,63 @@ import (
 // fetch of instruction i waits until instruction i-frontEndSlots has issued.
 const frontEndSlots = 18
 
-// resWindow is the sliding-window size (in cycles) for per-cycle resource
-// counters. It only needs to exceed the distance between the oldest
-// in-flight reservation and the current cycle; misses and divides keep that
-// far below 4096.
-const resWindow = 4096
+// portWindowSlots is a port window's first ring size, in cycles. The
+// widest span measured on the workload suite is 16 cycles.
+const portWindowSlots = 64
 
-// resTrack counts per-cycle uses of a resource with a fixed capacity.
-type resTrack struct {
-	stamp [resWindow]int64
-	count [resWindow]uint8
+// portWindow counts data-cache port uses per cycle. Issue does not wait
+// for a port: a load or store takes the first free port from its MEM cycle
+// on, so a burst of memory operations queues MEM accesses ahead of issue,
+// and the window spans from the oldest cycle still queried to the newest
+// reservation. It is a ring of cycle-stamped slots. A slot stamped before
+// the oldest live cycle is free, and a use a ring's length or more past
+// that cycle, where two live cycles could share a slot, doubles the ring
+// first, so the window never aliases.
+type portWindow struct {
+	slots []portSlot // power-of-two length; cycle c lives in slots[c&(len-1)]
 	cap   uint8
 }
 
-func (r *resTrack) at(cycle int64) *uint8 {
-	i := cycle & (resWindow - 1)
-	if r.stamp[i] != cycle {
-		r.stamp[i] = cycle
-		r.count[i] = 0
-	}
-	return &r.count[i]
+type portSlot struct {
+	cycle int64
+	used  uint8 // 0: never stamped
 }
 
-// avail reports whether capacity remains at cycle.
-func (r *resTrack) avail(cycle int64) bool { return *r.at(cycle) < r.cap }
-
-// tryUse consumes one unit at cycle if available.
-func (r *resTrack) tryUse(cycle int64) bool {
-	c := r.at(cycle)
-	if *c >= r.cap {
+// tryUse consumes one port at cycle if one is free. oldest is the earliest
+// cycle that can still be queried; it never decreases. Every live slot
+// lies in [oldest, oldest+len(slots)), so the slot of a cycle in that
+// span holds that cycle or a dead one.
+func (w *portWindow) tryUse(cycle, oldest int64) bool {
+	if cycle-oldest >= int64(len(w.slots)) {
+		w.grow(cycle - oldest)
+	}
+	sl := &w.slots[cycle&int64(len(w.slots)-1)]
+	if sl.cycle != cycle {
+		sl.cycle, sl.used = cycle, 0
+	}
+	if sl.used >= w.cap {
 		return false
 	}
-	*c++
+	sl.used++
 	return true
+}
+
+// grow doubles the ring until it is longer than span. Stamped slots move
+// with their counts, never two to one slot: cycles that share a slot of
+// the longer ring shared one before. Never-stamped slots all read cycle 0
+// and are dropped.
+func (w *portWindow) grow(span int64) {
+	n := 2 * len(w.slots)
+	for int64(n) <= span {
+		n *= 2
+	}
+	old := w.slots
+	w.slots = make([]portSlot, n)
+	for _, sl := range old {
+		if sl.used != 0 {
+			w.slots[sl.cycle&int64(n-1)] = sl
+		}
+	}
 }
 
 // fillEnt is one outstanding (or stale) cache fill. The set of live fills
@@ -195,13 +219,17 @@ type storeRec struct {
 	width    int64
 }
 
-// Sim is one timing-simulation instance over a program trace.
+// Sim is one timing-simulation instance over a program trace. Its own
+// timing state is a few kilobytes (per-register ready times, counts for
+// the newest issue cycle and a small port window) beside the caches, BTB
+// and load-acceleration structures it drives.
 type Sim struct {
 	cfg  Config
 	prog *isa.Program
 	meta []instMeta // per-PC decode cache (see decode.go)
 
 	ic, dc   *timedCache
+	icShift  uint // ic's block shift, read on every fetch
 	btb      *bpred.BTB
 	table    *addrpred.Table
 	regcache *earlycalc.Cache
@@ -215,11 +243,16 @@ type Sim struct {
 	regReady [isa.NumIntRegs]int64
 	fpReady  [isa.NumFPRegs]int64
 
-	issueRes resTrack
-	aluRes   resTrack
-	fpRes    resTrack
-	brRes    resTrack
-	portRes  resTrack
+	// Issue slots and functional units are taken only at an instruction's
+	// issue cycle, which never decreases, so only cycle lastIssue can hold
+	// reservations: issued counts its issue slots and fuUsed its units by
+	// instMeta.fu (fuNone's count is never checked). Both reset when
+	// issue advances.
+	issued   uint8
+	fuUsed   [4]uint8
+	issueCap uint8
+	fuCap    [4]uint8
+	ports    portWindow
 
 	nextFetch  int64
 	groupCycle int64
@@ -284,12 +317,11 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 		btb:         btb,
 		icLastBlock: -1,
 		icLastCycle: -1,
+		issueCap:    uint8(cfg.IssueWidth),
+		fuCap:       [4]uint8{fuALU: uint8(cfg.IntALUs), fuFP: uint8(cfg.FPALUs), fuBr: uint8(cfg.BranchUnits)},
+		ports:       portWindow{slots: make([]portSlot, portWindowSlots), cap: uint8(cfg.MemPorts)},
 	}
-	s.issueRes.cap = uint8(cfg.IssueWidth)
-	s.aluRes.cap = uint8(cfg.IntALUs)
-	s.fpRes.cap = uint8(cfg.FPALUs)
-	s.brRes.cap = uint8(cfg.BranchUnits)
-	s.portRes.cap = uint8(cfg.MemPorts)
+	s.icShift = s.ic.blockShift
 	// The two paper kinds are built as their concrete structures, which
 	// the ld_p and ld_e paths drive directly; any other kind is the assist
 	// mechanism, driven through the registry interface. Validate
@@ -398,7 +430,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	}
 	// Instruction cache (deduplicate same-block accesses within a cycle).
 	iaddr := isa.PCAddr(te.PC)
-	iblock := iaddr >> s.ic.blockShift
+	iblock := iaddr >> s.icShift
 	if iblock == s.icLastBlock && f == s.icLastCycle {
 		if s.icLastReady > f {
 			f = s.icLastReady
@@ -435,12 +467,8 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	if ePipe < s.lastIssue {
 		ePipe = s.lastIssue
 	}
-	e := ePipe
-	for _, r := range md.intRegs[:md.nInt] {
-		if t := s.regReady[r]; t > e {
-			e = t
-		}
-	}
+	r := &md.intRegs
+	e := max(ePipe, s.regReady[r[0]], s.regReady[r[1]], s.regReady[r[2]])
 	if md.fpA != 0 {
 		if t := s.fpReady[md.fpA-1]; t > e {
 			e = t
@@ -457,7 +485,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	if md.isLoad() {
 		s.m.Loads++
 		s.obsCycle = d2
-		spec = s.speculate(in, md, te, d1, d2, e)
+		spec = s.speculate(in, md, te, d1, e)
 		switch spec.path {
 		// The assist path accounts into Predict: it has the prediction
 		// path's timing and failure terms, and paper configurations never
@@ -484,29 +512,16 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	}
 
 	// ---- issue (enter EXE) ----
+	// e >= lastIssue, and every cycle after lastIssue is free, so a full
+	// issue group or unit costs exactly one cycle.
 	eFlow := e
 	var widthStall, fuStall int64
-	var fu *resTrack
-	switch md.fu {
-	case fuALU:
-		fu = &s.aluRes
-	case fuFP:
-		fu = &s.fpRes
-	case fuBr:
-		fu = &s.brRes
-	}
-	for {
-		if !s.issueRes.avail(e) {
-			widthStall++
-			e++
-			continue
+	if e == s.lastIssue {
+		if s.issued >= s.issueCap {
+			widthStall, e = 1, e+1
+		} else if md.fu != fuNone && s.fuUsed[md.fu] >= s.fuCap[md.fu] {
+			fuStall, e = 1, e+1
 		}
-		if fu != nil && !fu.avail(e) {
-			fuStall++
-			e++
-			continue
-		}
-		break
 	}
 	if s.sink != nil {
 		sq := s.m.Insts - 1
@@ -523,11 +538,11 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 				Cause: StallFU, Cycles: fuStall})
 		}
 	}
-	s.issueRes.tryUse(e)
-	if fu != nil {
-		fu.tryUse(e)
+	if e > s.lastIssue {
+		s.lastIssue, s.issued, s.fuUsed = e, 0, [4]uint8{}
 	}
-	s.lastIssue = e
+	s.issued++
+	s.fuUsed[md.fu]++
 	s.issueHist[s.seqIdx] = e
 	s.seq++
 	if s.seqIdx++; s.seqIdx == frontEndSlots {
@@ -568,10 +583,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 			done = dataEnd + 1
 			effLat = ready - e
 		default:
-			m := e + 1
-			for !s.portRes.tryUse(m) {
-				m++
-			}
+			m := s.memPort(e + 1)
 			s.obsCycle = m
 			dataEnd, _ := s.dc.access(te.EA, m, false, true)
 			ready = dataEnd + 1
@@ -596,10 +608,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 
 	case md.isStore():
 		s.m.Stores++
-		m := e + 1
-		for !s.portRes.tryUse(m) {
-			m++
-		}
+		m := s.memPort(e + 1)
 		s.obsCycle = m
 		s.dc.access(te.EA, m, false, false) // write-through, no allocate
 		done = m + 1
@@ -643,6 +652,20 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 			Fetch: f, Issue: e, Done: done, Lat: fwdLat})
 	}
 	return nil
+}
+
+// takePort consumes a data-cache port at cycle if one is free. Queries are
+// never earlier than lastIssue-1: a speculative access is reserved at e-1
+// or e for an issue cycle e >= lastIssue, a MEM access after issue.
+func (s *Sim) takePort(cycle int64) bool { return s.ports.tryUse(cycle, s.lastIssue-1) }
+
+// memPort reserves the first free data-cache port from cycle m on and
+// returns its cycle.
+func (s *Sim) memPort(m int64) int64 {
+	for !s.takePort(m) {
+		m++
+	}
+	return m
 }
 
 func (s *Sim) recordStore(exe, mem, ea, width int64) {
@@ -769,9 +792,9 @@ func (r *specResult) applyTo(ps *PathStats) {
 // steered to; pathPredict determines whether the MEM-stage table update
 // allocates. The flavour driving SelCompiler comes from the decode cache,
 // where any overlay passed to New has already been resolved.
-func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, d2, e int64) specResult {
+func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, e int64) specResult {
 	if s.assist != nil {
-		return s.specAssist(in, te, d2, e)
+		return s.specAssist(in, te, e)
 	}
 	switch s.cfg.Select {
 	case SelNone:
@@ -782,24 +805,24 @@ func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, d2, 
 			if s.table == nil {
 				return noSpec
 			}
-			return s.specPredict(in, te, d2, e)
+			return s.specPredict(in, te, e)
 		case isa.LdE:
 			if s.regcache == nil {
 				return noSpec
 			}
-			return s.specEarly(in, te, d1, d2, e, true)
+			return s.specEarly(in, te, e, true)
 		}
 		return noSpec
 	case SelAllPredict:
 		if s.table == nil {
 			return noSpec
 		}
-		return s.specPredict(in, te, d2, e)
+		return s.specPredict(in, te, e)
 	case SelAllEarly:
 		if s.regcache == nil {
 			return noSpec
 		}
-		return s.specEarly(in, te, d1, d2, e, false)
+		return s.specEarly(in, te, e, false)
 	case SelHWDual:
 		// Eickemeyer-Vassiliadis run-time selection: interlocked base
 		// register at decode -> prediction table; otherwise early
@@ -809,12 +832,12 @@ func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, d2, 
 			if s.table == nil {
 				return noSpec
 			}
-			return s.specPredict(in, te, d2, e)
+			return s.specPredict(in, te, e)
 		}
 		if s.regcache == nil {
 			return noSpec
 		}
-		return s.specEarly(in, te, d1, d2, e, false)
+		return s.specEarly(in, te, e, false)
 	}
 	return noSpec
 }
@@ -836,7 +859,7 @@ func (s *Sim) updatePredictor(te *emu.TraceEntry, predictPath bool) {
 // access with the predicted address, end-of-EXE verification. Forwarding
 // requires !Mem_Interlock ∧ Table_Hit ∧ Port_Allocated ∧ DCache_Hit ∧
 // CA==PA and yields an effective load latency of 1 cycle.
-func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specResult {
+func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
 	r := specResult{lat: -1, path: pathPredict, eligible: true}
 	predAddr, ok := s.table.Probe(te.PC)
 	if !ok {
@@ -846,11 +869,9 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specRes
 	// Like the early-calculation path, the speculative access is issued
 	// on the load's last decode cycle: a load stalled at issue re-probes
 	// while it waits, so its speculation overlaps in-flight stores less.
-	specCycle := d2
-	if e-1 > specCycle {
-		specCycle = e - 1
-	}
-	if !s.portRes.tryUse(specCycle) {
+	// e >= f+3, so that cycle is never before ID2.
+	specCycle := e - 1
+	if !s.takePort(specCycle) {
 		r.fail |= FailNoPort
 		return r
 	}
@@ -889,18 +910,15 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specRes
 // the predicted address, end-of-EXE verification, and an effective latency
 // of 1 cycle on forward. The mechanism trains in MEM on every load (see
 // StepInst), mirroring the hardware-only predictor's always-update policy.
-func (s *Sim) specAssist(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specResult {
+func (s *Sim) specAssist(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
 	r := specResult{lat: -1, path: pathAssist, eligible: true}
 	predAddr, ok := s.assist.Lookup(int64(te.PC))
 	if !ok {
 		r.fail |= FailNoPrediction
 		return r
 	}
-	specCycle := d2
-	if e-1 > specCycle {
-		specCycle = e - 1
-	}
-	if !s.portRes.tryUse(specCycle) {
+	specCycle := e - 1
+	if !s.takePort(specCycle) {
 		r.fail |= FailNoPort
 		return r
 	}
@@ -952,7 +970,7 @@ func (s *Sim) specAssist(in *isa.Inst, te *emu.TraceEntry, d2, e int64) specResu
 // bindDirected distinguishes the compiler-directed R_addr (bound by the
 // ld_e itself) from the hardware-only allocate-on-use policy; both bind
 // after the lookup, so a load that just switched the binding does not hit.
-func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, d2, e int64, bindDirected bool) specResult {
+func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, e int64, bindDirected bool) specResult {
 	if in.Mode == isa.AMRegReg {
 		// Only register+offset (and absolute) addresses can be formed
 		// by the decode-stage adder. Not an eligible execution.
@@ -964,10 +982,7 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, d2, e int64, bindD
 
 	hit := true
 	lat := int64(0)
-	specCycle := d2
-	if e-1 > specCycle {
-		specCycle = e - 1
-	}
+	specCycle := e - 1
 	if in.Mode == isa.AMRegOffset {
 		_, hit = s.regcache.Lookup(in.Base)
 		ready := s.regReady[in.Base]
@@ -994,7 +1009,7 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, d2, e int64, bindD
 			return r
 		}
 	}
-	if !s.portRes.tryUse(specCycle) {
+	if !s.takePort(specCycle) {
 		r.fail |= FailNoPort
 		return r
 	}
