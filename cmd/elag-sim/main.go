@@ -10,13 +10,13 @@
 //	-table N       prediction table entries (default 256)
 //	-regs N        early-calculation registers (0 = the machine's default:
 //	               16 for hw-early and hw-dual, 1 for compiler)
-//	-mech spec     attach an assist mechanism from the registry
+//	-mech spec     attach an assist mechanism
 //	               (kind[:entries[xassoc]], e.g. stride:256 or pcax:256x4);
 //	               assists ride on -config base (the default when -mech is
 //	               given); the paper kinds addrpred and earlycalc are sized
 //	               by -table and -regs instead, and rejected here
 //	-help-mechanisms
-//	               list the registered mechanism kinds and exit
+//	               list the mechanism kinds and exit
 //	-fuel N        dynamic instruction budget (0 = the 200M default)
 //	-profile       also apply profile-guided reclassification first
 //	-v             print the full metrics summary (paths, failure terms)
@@ -56,7 +56,7 @@ func main() {
 	table := flag.Int("table", 256, "prediction table entries")
 	regs := flag.Int("regs", 0, "early-calculation registers (0 = the machine's default: 16 for hw-early and hw-dual, 1 for compiler)")
 	mechSpec := flag.String("mech", "", "attach an assist mechanism (kind[:entries[xassoc]], e.g. stride:256); implies -config base. The paper kinds (addrpred, earlycalc) are sized by -table/-regs instead")
-	helpMechs := flag.Bool("help-mechanisms", false, "list the registered mechanism kinds and exit")
+	helpMechs := flag.Bool("help-mechanisms", false, "list the mechanism kinds and exit")
 	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
 	useProfile := flag.Bool("profile", false, "apply profile-guided reclassification")
 	verbose := flag.Bool("v", false, "print the full metrics summary")
@@ -67,7 +67,7 @@ func main() {
 	flag.Parse()
 
 	if *helpMechs {
-		fmt.Println("registered load-acceleration mechanisms (-mech kind[:entries[xassoc]]):")
+		fmt.Println("load-acceleration mechanisms (-mech kind[:entries[xassoc]]):")
 		for _, kd := range elag.Mechanisms() {
 			fmt.Printf("  %-10s %s\n", kd.Kind, kd.Desc)
 		}

@@ -34,7 +34,6 @@ package elag
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -46,7 +45,6 @@ import (
 	"elag/internal/isa"
 	"elag/internal/mcc"
 	"elag/internal/mech"
-	_ "elag/internal/mech/all" // register the assist mechanisms
 	"elag/internal/obs"
 	"elag/internal/opt"
 	"elag/internal/passman"
@@ -80,15 +78,16 @@ type (
 	FlavorOverlay = isa.FlavorOverlay
 	// Selection steers loads to early-address-generation hardware.
 	Selection = pipeline.Selection
-	// MechSpec identifies a pluggable load-acceleration mechanism by
-	// registry kind plus geometry; its canonical string form is
+	// MechSpec identifies a load-acceleration mechanism by kind plus
+	// geometry; its canonical string form is
 	// "kind[:entries[xassoc]]" (see ParseMechSpec and
 	// SimConfig.Mechanisms).
 	MechSpec = mech.Spec
 	// MechStats counts an assist mechanism's behaviour
 	// (Metrics.MechStats).
 	MechStats = mech.Stats
-	// MechDesc is one mechanism-registry row (kind + description).
+	// MechDesc is one row of the mechanism kind table (kind +
+	// description).
 	MechDesc = mech.KindDesc
 	// Fault is a typed architectural fault. Every error the emulator or
 	// the trace replayer produces for a misbehaving *program* (as
@@ -230,15 +229,15 @@ func NamedConfig(name string, table, regs int) (SimConfig, error) {
 
 // ParseMechSpec parses the canonical "kind[:entries[xassoc]]" mechanism
 // spec form (e.g. "stride:256", "pcax:256x4"). Syntax only; the kind and
-// geometry are checked against the registry by ValidateMechSpec (or by
+// geometry are checked against the kind table by ValidateMechSpec (or by
 // simulation construction).
 func ParseMechSpec(s string) (MechSpec, error) { return mech.ParseSpec(s) }
 
 // ValidateMechSpec checks a mechanism spec's kind and geometry against the
-// registry without building an instance.
+// kind table without building an instance.
 func ValidateMechSpec(sp MechSpec) error { return mech.Validate(sp) }
 
-// Mechanisms lists the registered mechanism kinds, sorted, with their
+// Mechanisms lists the mechanism kinds, sorted, with their
 // one-line descriptions — the -help-mechanisms vocabulary of the CLI
 // tools.
 func Mechanisms() []MechDesc { return mech.Describe() }
@@ -540,25 +539,18 @@ func Speedup(p *Program, cfg SimConfig, fuel int64) (float64, error) {
 // D decode/stall, X execute, M memory); forwarded loads are marked with
 // their effective latency (0 or 1). Only the drawn instructions are
 // emulated: fuel caps them when it is smaller than n, and fuel <= 0
-// means n.
+// means n. The timeline is drawn from the run's EvRetire events.
 func (p *Program) StageView(cfg SimConfig, fuel int64, n int) (string, error) {
-	sim, err := pipeline.New(cfg, p.Machine, nil)
-	if err != nil {
-		return "", err
-	}
 	if n <= 0 {
-		return "", nil
+		return "", cfg.Validate()
 	}
 	if fuel <= 0 || fuel > int64(n) {
 		fuel = int64(n)
 	}
-	_, trace, err := emu.RunTrace(p.Machine, fuel)
-	if err != nil && !errors.Is(err, emu.ErrFuel) {
+	var retired pipeline.StageSink
+	if _, _, err := p.SimulateBatchContext(context.Background(),
+		[]BatchSpec{{Config: cfg, Sink: &retired}}, fuel, 0); err != nil {
 		return "", err
 	}
-	sim.EnableStageTrace(n)
-	if _, err := sim.Run(trace); err != nil {
-		return "", err
-	}
-	return pipeline.RenderStageTrace(p.Machine, sim.StageTrace()), nil
+	return pipeline.RenderStageTrace(p.Machine, retired), nil
 }

@@ -35,7 +35,6 @@ import (
 	"elag/internal/emu"
 	"elag/internal/isa"
 	"elag/internal/mech"
-	_ "elag/internal/mech/all" // register the assist mechanisms
 	"elag/internal/pipeline"
 )
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -113,24 +112,9 @@ func (c *Counters) mechRow(kind string) *MechCounts {
 	return row
 }
 
-// MechKinds returns the mechanism kinds observed so far, sorted. nil-safe.
-func (c *Counters) MechKinds() []string {
-	if c == nil {
-		return nil
-	}
-	c.mechMu.Lock()
-	defer c.mechMu.Unlock()
-	out := make([]string, 0, len(c.mechRows))
-	for k := range c.mechRows {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MechStats reads one kind's aggregate as a plain mech.Stats snapshot.
 // A kind that has not been observed reads as all zeros, so scrape-time
-// readers registered per registry kind need no existence check. nil-safe.
+// readers declared per kind need no existence check. nil-safe.
 func (c *Counters) MechStats(kind string) mech.Stats {
 	if c == nil {
 		return mech.Stats{}

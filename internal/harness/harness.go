@@ -30,7 +30,6 @@ import (
 	"elag/internal/core"
 	"elag/internal/emu"
 	"elag/internal/isa"
-	_ "elag/internal/mech/all" // register the assist mechanisms
 	"elag/internal/pipeline"
 	"elag/internal/profile"
 	"elag/internal/workload"

@@ -1,23 +1,21 @@
-// Package mech is the pluggable load-acceleration mechanism layer.
+// Package mech is the load-acceleration mechanism vocabulary: the paper's
+// two early-address structures, the PC-indexed address-prediction table
+// (addrpred, the ld_p path) and the compiler-directed addressing-register
+// cache R_addr (earlycalc, the ld_e path), plus two assist baselines that
+// reuse the ld_p timing, a stride table (stride) and a PCAX-style table
+// (pcax).
 //
-// The paper evaluates exactly three early-address flavours — no table, the
-// PC-indexed address-prediction table (addrpred) and the compiler-directed
-// addressing-register cache (earlycalc) — and the original simulator named
-// those two packages concretely in its configuration and exporters. This
-// package turns the seam into a registry so a fourth mechanism is one
-// self-contained unit under internal/mech/... plus a spec string, not
-// surgery on every layer:
-//
-//   - Spec names a mechanism by registry kind plus geometry and has a
-//     stable string form ("stride:64", "pcax:256x4") shared by the CLI
-//     flags, the serve job API and the harness series definitions.
-//   - Mechanism is the contract the pipeline drives: a PC-indexed
-//     lookup/train pair for the assist path, a stats surface, and observer
-//     hooks for the event stream. That is all a new mechanism implements.
-//   - The registry (Register/New/Validate/Kinds/Describe) is populated at
-//     init time: the two paper mechanisms register in this package (see
-//     adapt.go), new mechanisms self-register from their own package and
-//     are linked in via the blank-import package internal/mech/all.
+//   - Spec names a mechanism by kind plus geometry and has a stable
+//     string form ("stride:64", "pcax:256x4") shared by the CLI flags, the
+//     serve job API and the harness series definitions.
+//   - kinds is the closed table of the four kinds: name, description,
+//     geometry check and, for the assists, a constructor. Validate, New,
+//     Kinds and Describe read it. A new mechanism is one file in this
+//     package plus one row.
+//   - Mechanism is what the pipeline drives for an assist: a PC-indexed
+//     lookup at decode, a train at MEM, and the counters. The paper kinds
+//     are never a Mechanism: pipeline.New builds them as their concrete
+//     structures through PredictorConfig and RegCacheConfig.
 //
 // A mechanism must be deterministic (same Lookup/Train sequence, same
 // answers and counters) and must keep the Stats algebra below. See
@@ -26,16 +24,17 @@ package mech
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"elag/internal/addrpred"
+	"elag/internal/earlycalc"
 )
 
-// Spec identifies a mechanism: a registry kind plus optional geometry.
-// The zero Entries/Assoc pick the kind's defaults.
+// Spec identifies a mechanism: a kind plus optional geometry. The zero
+// Entries/Assoc pick the kind's defaults.
 type Spec struct {
-	// Kind is the registry name ("addrpred", "earlycalc", "stride", ...).
+	// Kind is the kind name ("addrpred", "earlycalc", "stride", ...).
 	Kind string `json:"kind"`
 	// Entries is the total entry count (0 = the kind's default).
 	Entries int `json:"entries,omitempty"`
@@ -57,7 +56,8 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses the canonical "kind[:entries[xassoc]]" form. It checks
-// syntax only; Validate checks the kind and geometry against the registry.
+// syntax only; Validate checks the kind and geometry against the kind
+// table.
 func ParseSpec(str string) (Spec, error) {
 	kind, geom, hasGeom := strings.Cut(str, ":")
 	if kind == "" {
@@ -99,154 +99,129 @@ type Stats struct {
 	Allocs int64 `json:"allocs"`
 }
 
-// EventOp discriminates observer events.
-type EventOp uint8
-
-const (
-	// EvLookup — an assist-path probe (Hit says whether it predicted).
-	EvLookup EventOp = iota
-	// EvTrain — a retirement-side update of an existing entry.
-	EvTrain
-	// EvAlloc — a retirement-side update that allocated a new entry.
-	EvAlloc
-)
-
-// Event is one observable mechanism occurrence.
-type Event struct {
-	Op   EventOp
-	PC   int64
-	Addr int64
-	Hit  bool
-}
-
-// Mechanism is the contract a load-acceleration mechanism implements. The
-// pipeline drives Lookup at decode/speculation time and Train at the MEM
-// stage of every retiring load; the event stream attaches through the
-// observer hooks.
+// Mechanism is the contract an assist mechanism implements. The pipeline
+// drives Lookup at decode/speculation time and Train at the MEM stage of
+// every retiring load, and emits the event stream around both calls.
 type Mechanism interface {
-	// Kind returns the registry kind this instance was built from.
-	Kind() string
-
 	// Lookup probes the mechanism for load PC pc and returns a predicted
-	// effective address. Mechanisms that do not predict through a
-	// PC-indexed probe (earlycalc's R_addr path) always miss here.
+	// effective address; a miss returns (0, false).
 	Lookup(pc int64) (addr int64, ok bool)
-	// Train observes a retiring load: PC pc accessed effective address ea.
-	Train(pc, ea int64)
-
+	// Train observes a retiring load: PC pc accessed effective address
+	// ea. It reports whether the update allocated a new entry.
+	Train(pc, ea int64) (alloc bool)
 	// Stats returns the cumulative counters.
 	Stats() Stats
-
-	// SetObserver attaches (or with nil detaches) an event observer;
-	// HasObserver reports whether one is attached.
-	SetObserver(func(Event))
-	HasObserver() bool
 }
 
-// KindDesc is one registry row for help output.
+// KindDesc is one kind-table row for help output.
 type KindDesc struct {
 	Kind string
 	Desc string
 }
 
-type kindInfo struct {
-	desc     string
-	factory  func(Spec) (Mechanism, error)
-	validate func(Spec) error
+// kind is one row of the kind table: check validates a spec's geometry
+// and build constructs an assist. build is nil for the paper kinds, which
+// only pipeline.New builds.
+type kind struct {
+	name, desc string
+	check      func(Spec) error
+	build      func(Spec) Mechanism
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]kindInfo{}
-)
-
-// Register adds a mechanism kind to the registry. factory builds an
-// instance from a spec; validate checks a spec's geometry without building
-// (nil means any geometry is accepted). Kinds register at init time;
-// duplicate registration panics.
-func Register(kind, desc string, factory func(Spec) (Mechanism, error), validate func(Spec) error) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if kind == "" || factory == nil {
-		panic("mech: Register with empty kind or nil factory")
-	}
-	if _, dup := registry[kind]; dup {
-		panic("mech: duplicate Register of kind " + kind)
-	}
-	registry[kind] = kindInfo{desc: desc, factory: factory, validate: validate}
+// kinds is every mechanism kind, sorted by name.
+var kinds = [...]kind{
+	{"addrpred", "PC-indexed stride address-prediction table (paper Fig. 3; ld_p)", checkAddrpred, nil},
+	{"earlycalc", "compiler-directed addressing-register cache R_addr (ld_e)", checkEarlycalc, nil},
+	{"pcax", "set-associative PC-indexed address assist, two-delta agreement (PCAX-style)", checkPCAX, newPCAX},
+	{"stride", "direct-mapped stride prefetch table, 2-bit confidence (baseline competitor)", checkStride, newStride},
 }
 
-func lookupKind(kind string) (kindInfo, error) {
-	regMu.RLock()
-	info, ok := registry[kind]
-	regMu.RUnlock()
-	if !ok {
-		return kindInfo{}, fmt.Errorf("unknown mechanism kind %q (known: %s)", kind, strings.Join(Kinds(), ", "))
-	}
-	return info, nil
-}
-
-// check resolves a spec's kind and checks its geometry: first the
-// registry-wide rule that the spec has a canonical string form (no
+// check resolves a spec's kind and checks its geometry: first the rule
+// every kind shares, that the spec has a canonical string form (no
 // negative field, and an associativity only with an entry count, since
-// "kind:0x4" does not parse back), then the kind's own validator. New and
+// "kind:0x4" does not parse back), then the kind's own check. New and
 // Validate share it, so a spec that validates is one New accepts.
-func check(s Spec) (kindInfo, error) {
-	info, err := lookupKind(s.Kind)
-	if err != nil {
-		return kindInfo{}, err
-	}
-	if s.Entries < 0 || s.Assoc < 0 || (s.Assoc != 0 && s.Entries == 0) {
-		return kindInfo{}, fmt.Errorf("%s: entries %d, assoc %d: geometry must be non-negative, and an associativity needs an entry count",
-			s.Kind, s.Entries, s.Assoc)
-	}
-	if info.validate != nil {
-		if err := info.validate(s); err != nil {
-			return kindInfo{}, err
+func check(s Spec) (*kind, error) {
+	var k *kind
+	for i := range kinds {
+		if kinds[i].name == s.Kind {
+			k = &kinds[i]
+			break
 		}
 	}
-	return info, nil
+	if k == nil {
+		return nil, fmt.Errorf("unknown mechanism kind %q (known: %s)", s.Kind, strings.Join(Kinds(), ", "))
+	}
+	if s.Entries < 0 || s.Assoc < 0 || (s.Assoc != 0 && s.Entries == 0) {
+		return nil, fmt.Errorf("%s: entries %d, assoc %d: geometry must be non-negative, and an associativity needs an entry count",
+			s.Kind, s.Entries, s.Assoc)
+	}
+	if err := k.check(s); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
-// New builds a mechanism instance from a spec.
+// New builds an assist mechanism from a spec. It rejects the paper kinds,
+// which pipeline.New builds as their concrete structures.
 func New(s Spec) (Mechanism, error) {
-	info, err := check(s)
+	k, err := check(s)
 	if err != nil {
 		return nil, err
 	}
-	return info.factory(s)
+	if k.build == nil {
+		return nil, fmt.Errorf("%s is a paper mechanism: the pipeline builds it from PredictorConfig or RegCacheConfig", s.Kind)
+	}
+	return k.build(s), nil
 }
 
-// Validate checks a spec against the registry without building an instance.
+// Validate checks a spec's kind and geometry without building anything.
 func Validate(s Spec) error {
 	_, err := check(s)
 	return err
 }
 
-// Kinds returns the registered kind names, sorted.
+// Kinds returns the kind names, sorted.
 func Kinds() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
+	out := make([]string, len(kinds))
+	for i := range kinds {
+		out[i] = kinds[i].name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Describe returns one row per registered kind, sorted by kind.
+// Describe returns one row per kind, sorted by kind.
 func Describe() []KindDesc {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]KindDesc, 0, len(registry))
-	for k, info := range registry {
-		out = append(out, KindDesc{Kind: k, Desc: info.desc})
+	out := make([]KindDesc, len(kinds))
+	for i := range kinds {
+		out[i] = KindDesc{Kind: kinds[i].name, Desc: kinds[i].desc}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
 }
 
-// PowerOfTwo reports whether n is a positive power of two — the geometry
-// convention every built-in mechanism shares.
-func PowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
+// PredictorConfig maps a spec of kind "addrpred" to the concrete table
+// configuration the pipeline's ld_p path consumes.
+func PredictorConfig(s Spec) addrpred.Config {
+	return addrpred.Config{Entries: s.Entries, Assoc: s.Assoc}
+}
+
+// RegCacheConfig maps a spec of kind "earlycalc" to the concrete register
+// cache configuration the pipeline's ld_e path consumes.
+func RegCacheConfig(s Spec) earlycalc.Config {
+	return earlycalc.Config{Entries: s.Entries}
+}
+
+func checkAddrpred(s Spec) error {
+	return PredictorConfig(s).Validate()
+}
+
+func checkEarlycalc(s Spec) error {
+	if s.Assoc != 0 && s.Assoc != s.Entries {
+		return fmt.Errorf("earlycalc: the register cache is fully associative (assoc %d with %d entries)", s.Assoc, s.Entries)
+	}
+	return RegCacheConfig(s).Validate()
+}
+
+// powerOfTwo reports whether n is a positive power of two, the geometry
+// rule both assists share.
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }

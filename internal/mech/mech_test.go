@@ -1,11 +1,10 @@
 package mech_test
 
 import (
+	"slices"
 	"testing"
 
-	"elag/internal/diffcheck"
 	"elag/internal/mech"
-	_ "elag/internal/mech/all"
 	"elag/internal/pipeline"
 )
 
@@ -39,10 +38,13 @@ func TestParseSpecRoundTrip(t *testing.T) {
 
 	// The string is the spelling of a spec in labels, flags and job
 	// specs, so every spec the repository configures must validate and
-	// parse back from its String form.
+	// parse back from its String form. The machine table and the assists
+	// are the two lists every configuration is built from. This test
+	// links only mech and pipeline, so it also checks that a binary
+	// linking the pipeline knows every kind it configures.
 	specs := append([]mech.Spec(nil), pipeline.AssistSpecs...)
-	for _, nc := range append(diffcheck.DefaultConfigs(), diffcheck.MechConfigs()...) {
-		specs = append(specs, nc.Config.Mechanisms...)
+	for _, m := range pipeline.Machines {
+		specs = append(specs, m.Select.Config(m.Table, m.Regs).Mechanisms...)
 	}
 	for _, sp := range specs {
 		if err := mech.Validate(sp); err != nil {
@@ -66,17 +68,21 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegistry checks the kind table: exactly the four kinds, sorted, one
+// Describe row each, and the lookup and geometry errors.
 func TestRegistry(t *testing.T) {
 	kinds := mech.Kinds()
-	want := map[string]bool{"addrpred": true, "earlycalc": true, "stride": true, "pcax": true}
-	for _, k := range kinds {
-		delete(want, k)
+	if want := []string{"addrpred", "earlycalc", "pcax", "stride"}; !slices.Equal(kinds, want) {
+		t.Fatalf("Kinds() = %v, want %v", kinds, want)
 	}
-	if len(want) != 0 {
-		t.Fatalf("Kinds() = %v, missing %v", kinds, want)
+	rows := mech.Describe()
+	if len(rows) != len(kinds) {
+		t.Fatalf("Describe() rows (%d) != Kinds() (%d)", len(rows), len(kinds))
 	}
-	if len(mech.Describe()) != len(kinds) {
-		t.Errorf("Describe() rows (%d) != Kinds() (%d)", len(mech.Describe()), len(kinds))
+	for i, r := range rows {
+		if r.Kind != kinds[i] || r.Desc == "" {
+			t.Errorf("Describe()[%d] = %+v, want kind %s with a description", i, r, kinds[i])
+		}
 	}
 	if _, err := mech.New(mech.Spec{Kind: "no-such"}); err == nil {
 		t.Error("New(unknown kind): want error")
@@ -94,10 +100,10 @@ func checkAlgebra(t *testing.T, m mech.Mechanism) {
 	t.Helper()
 	s := m.Stats()
 	if s.Lookups != s.Hits+s.Misses {
-		t.Errorf("%s: Lookups (%d) != Hits (%d) + Misses (%d)", m.Kind(), s.Lookups, s.Hits, s.Misses)
+		t.Errorf("Lookups (%d) != Hits (%d) + Misses (%d)", s.Lookups, s.Hits, s.Misses)
 	}
 	if s.Allocs > s.Trains {
-		t.Errorf("%s: Allocs (%d) > Trains (%d)", m.Kind(), s.Allocs, s.Trains)
+		t.Errorf("Allocs (%d) > Trains (%d)", s.Allocs, s.Trains)
 	}
 }
 
@@ -154,63 +160,33 @@ func TestPCAXPredicts(t *testing.T) {
 	checkAlgebra(t, m)
 }
 
-// TestKindContract runs every registered kind, at its default geometry,
-// through a train/lookup mix and checks the Stats algebra.
+// TestKindContract runs every assist kind, at its default geometry,
+// through a train/lookup mix: the allocations Train reports sum to
+// Stats().Allocs and the Stats algebra holds. New rejects the paper kinds,
+// which only the pipeline builds.
 func TestKindContract(t *testing.T) {
 	for _, kind := range mech.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			m, err := mech.New(mech.Spec{Kind: kind})
+			if kind == "addrpred" || kind == "earlycalc" {
+				if err == nil {
+					t.Fatalf("New(%s) = nil error, want the paper kind rejected", kind)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Kind() != kind {
-				t.Fatalf("Kind() = %q, want %q", m.Kind(), kind)
-			}
+			var allocs int64
 			for i := int64(0); i < 100; i++ {
 				pc := i % 23
-				m.Train(pc, 64*pc+8*i)
+				if m.Train(pc, 64*pc+8*i) {
+					allocs++
+				}
 				m.Lookup((i * 7) % 23)
 			}
-			checkAlgebra(t, m)
-		})
-	}
-}
-
-// TestObserverToggle checks the observer hooks of every registered kind:
-// attach, see an event for every counted lookup or train, detach. Kinds
-// whose Lookup/Train never touch state (earlycalc, whose R_addr path the
-// pipeline drives directly) count nothing and so owe no events.
-func TestObserverToggle(t *testing.T) {
-	for _, kind := range mech.Kinds() {
-		t.Run(kind, func(t *testing.T) {
-			m, err := mech.New(mech.Spec{Kind: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.HasObserver() {
-				t.Fatal("fresh mechanism has observer")
-			}
-			var n int
-			m.SetObserver(func(mech.Event) { n++ })
-			if !m.HasObserver() {
-				t.Fatal("observer not attached")
-			}
-			pre := m.Stats()
-			m.Train(1, 100)
-			m.Lookup(1)
-			post := m.Stats()
-			if counted := post.Lookups + post.Trains - pre.Lookups - pre.Trains; counted > 0 && n == 0 {
-				t.Fatalf("observer saw no events for %d counted operations", counted)
-			}
-			m.SetObserver(nil)
-			if m.HasObserver() {
-				t.Fatal("observer not detached")
-			}
-			n = 0
-			m.Train(2, 200)
-			m.Lookup(2)
-			if n != 0 {
-				t.Fatalf("detached observer saw %d events", n)
+			if got := m.Stats().Allocs; got != allocs || allocs == 0 {
+				t.Errorf("Train reported %d allocations, Stats().Allocs = %d", allocs, got)
 			}
 			checkAlgebra(t, m)
 		})

@@ -19,9 +19,11 @@ import (
 //
 //	pid 1 "pipeline"     tid 0..7 issue slots (instructions round-robin
 //	                     by sequence number), tid 9 stall spans
-//	pid 2 "speculation"  tid 1 prediction path, tid 2 early-calculation
+//	pid 2 "speculation"  tid 1 prediction path (the ld_p table's and an
+//	                     assist mechanism's), tid 2 early-calculation
 //	pid 3 "memory"       tid 1 I-cache, tid 2 D-cache
-//	pid 4 "predictor"    tid 1 stride table, tid 2 R_addr register cache
+//	pid 4 "predictor"    tid 1 prediction table or assist mechanism,
+//	                     tid 2 R_addr register cache
 //	pid 5 "control"      tid 1 branch resolution
 const (
 	pidPipeline = 1
@@ -78,11 +80,14 @@ func chromeMetadata() []chromeEvent {
 	return evs
 }
 
+// specTid puts the early-calculation path ('E') on its own lane and the
+// prediction path on the other: 'P' for the table, 'A' for an assist
+// mechanism, which runs the prediction path.
 func specTid(path byte) int {
-	if path == 'P' {
-		return 1
+	if path == 'E' {
+		return 2
 	}
-	return 2
+	return 1
 }
 
 func levelTid(level byte) int {
@@ -92,9 +97,8 @@ func levelTid(level byte) int {
 	return 2
 }
 
-// chromeFromEvent converts one pipeline event; ok=false drops it from the
-// Chrome view (no pipeline event currently drops, but the mapping keeps
-// the option).
+// chromeFromEvent converts one pipeline event. Every event kind has a
+// lane; ok=false drops an unknown kind from the Chrome view.
 func chromeFromEvent(prog *isa.Program, ev *pipeline.Event) (chromeEvent, bool) {
 	name := func(pc int) string {
 		if prog != nil && pc >= 0 && pc < len(prog.Insts) {
@@ -161,6 +165,17 @@ func chromeFromEvent(prog *isa.Program, ev *pipeline.Event) (chromeEvent, bool) 
 		return chromeEvent{Name: n, Cat: "table", Ph: "i", Ts: ev.Cycle,
 			Pid: pidPred, Tid: 1, S: "t",
 			Args: map[string]any{"correct": ev.Correct, "pc": ev.PC}}, true
+	case pipeline.EvMech:
+		n, args := "train", map[string]any{"addr": ev.Addr, "pc": ev.PC}
+		switch ev.MechOp {
+		case 'L':
+			n = "lookup"
+			args["hit"] = ev.Hit
+		case 'A':
+			n = "alloc"
+		}
+		return chromeEvent{Name: n, Cat: "mech", Ph: "i", Ts: ev.Cycle,
+			Pid: pidPred, Tid: 1, S: "t", Args: args}, true
 	case pipeline.EvRegBind, pipeline.EvRegInvalidate, pipeline.EvRegBroadcast:
 		n := map[pipeline.EventKind]string{
 			pipeline.EvRegBind:       "bind",

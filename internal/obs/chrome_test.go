@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"elag"
 	"elag/internal/obs"
+	"elag/internal/pipeline"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -75,6 +77,67 @@ func TestChromeTraceGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("trace differs from golden %s (regenerate with -update if the change is intended)\ngot %d bytes, want %d",
 			golden, got.Len(), len(want))
+	}
+}
+
+// TestChromeTraceAssistLanes: an assist mechanism runs the prediction
+// path, so its speculation events are drawn on the prediction lane, never
+// on the ld_e lane, and each of its EvMech events is one "mech" entry on
+// the predictor's table lane.
+func TestChromeTraceAssistLanes(t *testing.T) {
+	p, err := elag.BuildAsm(goldenProg, false, elag.ClassifyOptions{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	for _, sp := range pipeline.AssistSpecs {
+		t.Run(sp.String(), func(t *testing.T) {
+			rec := &elag.TraceRecorder{}
+			_, _, err := p.SimulateBatchContext(context.Background(),
+				[]elag.BatchSpec{{Config: elag.SimConfig{Mechanisms: []elag.MechSpec{sp}}, Sink: rec}}, 0, 0)
+			if err != nil {
+				t.Fatalf("simulate: %v", err)
+			}
+			var mechEvents int
+			for _, ev := range rec.Events {
+				if ev.Kind == pipeline.EvMech {
+					mechEvents++
+				}
+			}
+			var buf bytes.Buffer
+			if err := p.WriteChromeTrace(&buf, rec.Events); err != nil {
+				t.Fatalf("write trace: %v", err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Cat      string
+					Pid, Tid int
+				}
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatalf("decode trace: %v", err)
+			}
+			var spec, mech int
+			for _, ce := range doc.TraceEvents {
+				switch ce.Cat {
+				case "spec":
+					spec++
+					if ce.Tid != 1 {
+						t.Errorf("assist speculation event on tid %d, want the prediction lane (1)", ce.Tid)
+					}
+				case "mech":
+					mech++
+					if ce.Pid != 4 || ce.Tid != 1 {
+						t.Errorf("mech entry on pid %d tid %d, want the predictor's table lane (4, 1)", ce.Pid, ce.Tid)
+					}
+				}
+			}
+			if spec == 0 || mechEvents == 0 {
+				t.Fatalf("assist run drew %d speculation events and recorded %d EvMech events", spec, mechEvents)
+			}
+			if mech != mechEvents {
+				t.Errorf("trace has %d mech entries for %d EvMech events", mech, mechEvents)
+			}
+		})
 	}
 }
 

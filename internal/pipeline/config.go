@@ -96,7 +96,7 @@ func (s Selection) Config(table, regs int) Config {
 
 // AssistSpecs are the assist mechanisms at their reference geometries:
 // FigureMech's columns and diffcheck's MechConfigs. The list is data so a
-// new registry kind joins both by appending one spec.
+// new assist kind joins both by appending one spec.
 var AssistSpecs = []mech.Spec{
 	{Kind: "stride", Entries: 256},
 	{Kind: "pcax", Entries: 256, Assoc: 4},
@@ -135,16 +135,16 @@ type Config struct {
 	// Select steers loads to the early-address-generation hardware.
 	Select Selection
 
-	// Mechanisms attaches load-acceleration hardware by registry spec
+	// Mechanisms attaches load-acceleration hardware by mechanism spec
 	// (see package mech and Selection.Config); it is the only way to
 	// configure any. An "addrpred" spec instantiates the PC-indexed
 	// address prediction table and an "earlycalc" spec the
 	// early-calculation addressing register cache (Entries 1 is the
 	// paper's R_addr); Select's machine must drive each (a nonzero
-	// Machine.Table or Regs), and each appears at most once. At most one spec of any other kind may
-	// appear: it attaches as the assist mechanism, which drives every
-	// load through the registry interface and is mutually exclusive with
-	// the paper mechanisms.
+	// Machine.Table or Regs), and each appears at most once. At most one
+	// spec of any other kind may appear: it attaches as the assist
+	// mechanism, which drives every load through mech.Mechanism and is
+	// mutually exclusive with the paper mechanisms.
 	Mechanisms []mech.Spec
 }
 

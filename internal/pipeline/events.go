@@ -6,7 +6,6 @@ import (
 	"elag/internal/addrpred"
 	"elag/internal/earlycalc"
 	"elag/internal/isa"
-	"elag/internal/mech"
 )
 
 // This file is the cycle-level event layer of the timing model. A Sim with
@@ -163,7 +162,7 @@ type Event struct {
 	Fetch, Issue, Done int64
 
 	// Speculation (EvSpecLaunch/Forward/Fail).
-	Path byte // 'P' (prediction table) or 'E' (early calculation)
+	Path byte // 'P' (prediction table), 'E' (early calculation) or 'A' (assist)
 	Addr int64
 	Lat  int64
 	Fail FailMask
@@ -220,24 +219,7 @@ func (s *Sim) AttachSink(sink EventSink) {
 		s.dc.onMiss = nil
 		s.ic.onMiss = nil
 		s.btb.Observer = nil
-		if s.assist != nil {
-			s.assist.SetObserver(nil)
-		}
 		return
-	}
-	if s.assist != nil {
-		s.assist.SetObserver(func(ev mech.Event) {
-			op := byte('L')
-			switch ev.Op {
-			case mech.EvTrain:
-				op = 'T'
-			case mech.EvAlloc:
-				op = 'A'
-			}
-			s.ev = Event{Kind: EvMech, Seq: s.m.Insts - 1, PC: int(ev.PC),
-				Cycle: s.obsCycle, Addr: ev.Addr, Hit: ev.Hit, MechOp: op}
-			sink.Event(&s.ev)
-		})
 	}
 	if s.table != nil {
 		s.table.Observer = func(ev addrpred.TableEvent) {

@@ -6,6 +6,7 @@ import (
 
 	"elag/internal/asm/asmtest"
 	"elag/internal/emu"
+	"elag/internal/mech"
 )
 
 // obsProg exercises both speculation paths, stores (mem-interlock), a
@@ -26,26 +27,41 @@ func obsConfig() Config {
 
 func obsTrace(t *testing.T) (*emu.Trace, *Sim) {
 	t.Helper()
+	return obsTraceUnder(t, obsConfig())
+}
+
+func obsTraceUnder(t *testing.T, cfg Config) (*emu.Trace, *Sim) {
+	t.Helper()
 	p := asmtest.MustAssemble(t, loopOf(3000, obsProgBody))
 	_, trace, err := emu.RunTrace(p, 10_000_000)
 	if err != nil {
 		t.Fatalf("trace: %v", err)
 	}
-	return trace, mustSim(t, obsConfig(), p)
+	return trace, mustSim(t, cfg, p)
 }
 
-// countingSink tallies the event stream by kind and failure term.
+// countingSink tallies the event stream by kind, failure term and
+// mechanism operation.
 type countingSink struct {
 	byKind   map[EventKind]int64
 	failBits map[byte]map[FailMask]int64 // path -> term bit -> count
+	mechOps  map[byte]int64              // EvMech MechOp -> count
+	mechHits int64                       // 'L' events with Hit
 }
 
 func (c *countingSink) Event(ev *Event) {
 	if c.byKind == nil {
 		c.byKind = map[EventKind]int64{}
 		c.failBits = map[byte]map[FailMask]int64{}
+		c.mechOps = map[byte]int64{}
 	}
 	c.byKind[ev.Kind]++
+	if ev.Kind == EvMech {
+		c.mechOps[ev.MechOp]++
+		if ev.MechOp == 'L' && ev.Hit {
+			c.mechHits++
+		}
+	}
 	if ev.Kind == EvSpecFail {
 		m := c.failBits[ev.Path]
 		if m == nil {
@@ -87,16 +103,67 @@ func TestObservationDoesNotPerturbTiming(t *testing.T) {
 
 // TestEventCounterConsistency: the event stream must reproduce the global
 // counters — retires equal instructions, spec launches/forwards/fails and
-// per-term failure bits equal the PathStats sums.
+// per-term failure bits equal the PathStats sums. Under each assist of
+// AssistSpecs, the 'A'-path failure bits equal Predict's counters and the
+// EvMech events equal the mechanism's Stats: 'L' events its lookups (those
+// with Hit its hits), 'T' plus 'A' events its trains, 'A' its allocations.
 func TestEventCounterConsistency(t *testing.T) {
-	trace, s := obsTrace(t)
-	var sink countingSink
-	s.AttachSink(&sink)
+	t.Run("compiler", func(t *testing.T) {
+		sink, m := countEvents(t, obsConfig())
+		if sink.byKind[EvBranchResolve] == 0 || sink.byKind[EvTableTransition] == 0 ||
+			sink.byKind[EvRegBind] == 0 || sink.byKind[EvCacheAccess] == 0 {
+			t.Errorf("expected branch/table/reg-bind/cache events, got %v", sink.byKind)
+		}
+		if n := sink.byKind[EvMech]; n != 0 || m.MechStats != nil {
+			t.Errorf("paper configuration: %d mech events, MechStats %+v", n, m.MechStats)
+		}
+		checkFailBits(t, sink, 'P', &m.Predict)
+		checkFailBits(t, sink, 'E', &m.Early)
+	})
+	for _, sp := range AssistSpecs {
+		t.Run(sp.String(), func(t *testing.T) {
+			sink, m := countEvents(t, Config{Mechanisms: []mech.Spec{sp}})
+			st := m.MechStats
+			if st == nil || m.MechKind != sp.Kind {
+				t.Fatalf("MechKind %q, MechStats %v; want kind %s", m.MechKind, st, sp.Kind)
+			}
+			ops := sink.mechOps
+			for _, c := range []struct {
+				what      string
+				got, want int64
+			}{
+				{"'L' events vs lookups", ops['L'], st.Lookups},
+				{"'L' hit events vs hits", sink.mechHits, st.Hits},
+				{"'T'+'A' events vs trains", ops['T'] + ops['A'], st.Trains},
+				{"'A' events vs allocs", ops['A'], st.Allocs},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s: %d != %d", c.what, c.got, c.want)
+				}
+			}
+			if st.Lookups == 0 || st.Hits == 0 || st.Allocs == 0 {
+				t.Errorf("assist saw no traffic: %+v", *st)
+			}
+			if len(sink.failBits['P']) != 0 {
+				t.Errorf("assist run has 'P'-path failures: %v", sink.failBits['P'])
+			}
+			checkFailBits(t, sink, 'A', &m.Predict)
+			checkFailBits(t, sink, 'E', &m.Early)
+		})
+	}
+}
+
+// countEvents runs the observation program under cfg with a countingSink
+// and checks the path-independent event counts against the metrics.
+func countEvents(t *testing.T, cfg Config) (*countingSink, *Metrics) {
+	t.Helper()
+	trace, s := obsTraceUnder(t, cfg)
+	sink := &countingSink{}
+	s.AttachSink(sink)
 	m, err := s.Run(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	if got, want := sink.byKind[EvRetire], m.Insts; got != want {
 		t.Errorf("retire events %d != instructions %d", got, want)
 	}
@@ -110,32 +177,28 @@ func TestEventCounterConsistency(t *testing.T) {
 	if got := sink.byKind[EvSpecFail]; got != fails {
 		t.Errorf("spec-fail events %d != eligible-forwarded %d", got, fails)
 	}
-	if sink.byKind[EvBranchResolve] == 0 || sink.byKind[EvTableTransition] == 0 ||
-		sink.byKind[EvRegBind] == 0 || sink.byKind[EvCacheAccess] == 0 {
-		t.Errorf("expected branch/table/reg-bind/cache events, got %v", sink.byKind)
-	}
+	return sink, m
+}
 
-	for _, c := range []struct {
-		path byte
-		ps   *PathStats
-	}{{'P', &m.Predict}, {'E', &m.Early}} {
-		bits := sink.failBits[c.path]
-		for _, tc := range []struct {
-			bit  FailMask
-			want int64
-		}{
-			{FailNoPrediction, c.ps.NoPrediction},
-			{FailRegMiss, c.ps.RegMiss},
-			{FailRegInterlock, c.ps.RegInterlock},
-			{FailMemInterlock, c.ps.MemInterlock},
-			{FailNoPort, c.ps.NoPort},
-			{FailCacheMiss, c.ps.CacheMiss},
-			{FailAddrMispredict, c.ps.AddrMispredict},
-		} {
-			if bits[tc.bit] != tc.want {
-				t.Errorf("path %c %s: event bits %d != counter %d",
-					c.path, tc.bit, bits[tc.bit], tc.want)
-			}
+// checkFailBits compares the failure-term bits of path's EvSpecFail
+// events with the counters of ps.
+func checkFailBits(t *testing.T, sink *countingSink, path byte, ps *PathStats) {
+	t.Helper()
+	bits := sink.failBits[path]
+	for _, tc := range []struct {
+		bit  FailMask
+		want int64
+	}{
+		{FailNoPrediction, ps.NoPrediction},
+		{FailRegMiss, ps.RegMiss},
+		{FailRegInterlock, ps.RegInterlock},
+		{FailMemInterlock, ps.MemInterlock},
+		{FailNoPort, ps.NoPort},
+		{FailCacheMiss, ps.CacheMiss},
+		{FailAddrMispredict, ps.AddrMispredict},
+	} {
+		if bits[tc.bit] != tc.want {
+			t.Errorf("path %c %s: event bits %d != counter %d", path, tc.bit, bits[tc.bit], tc.want)
 		}
 	}
 }

@@ -233,9 +233,9 @@ type Sim struct {
 	btb      *bpred.BTB
 	table    *addrpred.Table
 	regcache *earlycalc.Cache
-	// assist is the registry-constructed assist mechanism, nil unless the
-	// configuration named a non-paper mechanism spec. It drives every load
-	// through the prediction path's timing (see specAssist).
+	// assist is the assist mechanism, nil unless the configuration named
+	// a non-paper mechanism spec. It drives every load through the
+	// prediction path's timing (see speculate).
 	assist mech.Mechanism
 
 	m Metrics
@@ -274,9 +274,6 @@ type Sim struct {
 	// is below a query cycle, no slot can interlock and the ring scan is
 	// skipped entirely.
 	storeMaxMem int64
-
-	traceCap   int
-	stageTrace []StageRecord
 
 	// Observability (all nil/zero when disabled — the default).
 	sink     EventSink     // cycle-level event stream, set by AttachSink
@@ -324,8 +321,8 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 	s.icShift = s.ic.blockShift
 	// The two paper kinds are built as their concrete structures, which
 	// the ld_p and ld_e paths drive directly; any other kind is the assist
-	// mechanism, driven through the registry interface. Validate
-	// guarantees each appears at most once.
+	// mechanism, driven through mech.Mechanism. Validate guarantees each
+	// appears at most once.
 	for _, sp := range cfg.Mechanisms {
 		switch sp.Kind {
 		case "addrpred":
@@ -338,6 +335,7 @@ func New(cfg Config, prog *isa.Program, flavors isa.FlavorOverlay) (*Sim, error)
 			if s.assist, err = mech.New(sp); err != nil {
 				return nil, err
 			}
+			s.m.MechKind = sp.Kind
 		}
 	}
 	// Cycle numbering starts at 1 so that zero-valued ready times never
@@ -357,7 +355,6 @@ func (s *Sim) Metrics() *Metrics {
 		s.m.RegCacheStat = s.regcache.Stats()
 	}
 	if s.assist != nil {
-		s.m.MechKind = s.assist.Kind()
 		st := s.assist.Stats()
 		s.m.MechStats = &st
 	}
@@ -603,7 +600,15 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 		s.obsCycle = e + 1
 		s.updatePredictor(te, spec.path == pathPredict)
 		if s.assist != nil {
-			s.assist.Train(int64(te.PC), te.EA)
+			alloc := s.assist.Train(int64(te.PC), te.EA)
+			if s.sink != nil {
+				op := byte('T')
+				if alloc {
+					op = 'A'
+				}
+				s.emit(Event{Kind: EvMech, Seq: s.m.Insts - 1, PC: te.PC,
+					Cycle: s.obsCycle, Addr: te.EA, MechOp: op})
+			}
 		}
 
 	case md.isStore():
@@ -635,13 +640,6 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	}
 	if done > s.maxDone {
 		s.maxDone = done
-	}
-	if s.traceCap > 0 {
-		fwd := int8(-1)
-		if md.isLoad() && spec.lat >= 0 {
-			fwd = int8(spec.lat)
-		}
-		s.recordStages(te.PC, f, e, done, fwd)
 	}
 	if s.sink != nil {
 		fwdLat := int64(-1)
@@ -791,53 +789,39 @@ func (r *specResult) applyTo(ps *PathStats) {
 // The result's path field records which mechanism this execution was
 // steered to; pathPredict determines whether the MEM-stage table update
 // allocates. The flavour driving SelCompiler comes from the decode cache,
-// where any overlay passed to New has already been resolved.
+// where any overlay passed to New has already been resolved. An assist
+// mechanism replaces the table's ID1 probe and takes the prediction path
+// with it.
 func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, e int64) specResult {
 	if s.assist != nil {
-		return s.specAssist(in, te, e)
+		addr, ok := s.assist.Lookup(int64(te.PC))
+		if s.sink != nil {
+			s.emit(Event{Kind: EvMech, Seq: s.m.Insts - 1, PC: te.PC,
+				Cycle: s.obsCycle, Addr: addr, Hit: ok, MechOp: 'L'})
+		}
+		return s.specPredict(in, te, e, addr, ok, pathAssist)
 	}
 	switch s.cfg.Select {
-	case SelNone:
-		return noSpec
 	case SelCompiler:
 		switch md.flavor {
 		case isa.LdP:
-			if s.table == nil {
-				return noSpec
-			}
-			return s.specPredict(in, te, e)
+			return s.probeTable(in, te, e)
 		case isa.LdE:
-			if s.regcache == nil {
-				return noSpec
-			}
-			return s.specEarly(in, te, e, true)
+			return s.specEarly(in, te, e)
 		}
-		return noSpec
 	case SelAllPredict:
-		if s.table == nil {
-			return noSpec
-		}
-		return s.specPredict(in, te, e)
+		return s.probeTable(in, te, e)
 	case SelAllEarly:
-		if s.regcache == nil {
-			return noSpec
-		}
-		return s.specEarly(in, te, e, false)
+		return s.specEarly(in, te, e)
 	case SelHWDual:
 		// Eickemeyer-Vassiliadis run-time selection: interlocked base
 		// register at decode -> prediction table; otherwise early
 		// calculation through the register cache.
 		interlocked := in.Mode != isa.AMAbsolute && s.regReady[in.Base] > d1
 		if interlocked {
-			if s.table == nil {
-				return noSpec
-			}
-			return s.specPredict(in, te, e)
+			return s.probeTable(in, te, e)
 		}
-		if s.regcache == nil {
-			return noSpec
-		}
-		return s.specEarly(in, te, e, false)
+		return s.specEarly(in, te, e)
 	}
 	return noSpec
 }
@@ -855,13 +839,27 @@ func (s *Sim) updatePredictor(te *emu.TraceEntry, predictPath bool) {
 	}
 }
 
-// specPredict implements the ld_p path: ID1 table probe, ID2 speculative
-// access with the predicted address, end-of-EXE verification. Forwarding
-// requires !Mem_Interlock ∧ Table_Hit ∧ Port_Allocated ∧ DCache_Hit ∧
-// CA==PA and yields an effective load latency of 1 cycle.
-func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
-	r := specResult{lat: -1, path: pathPredict, eligible: true}
+// probeTable runs the ID1 prediction-table probe of the ld_p path and
+// continues it in specPredict; without a table the load does not
+// speculate.
+func (s *Sim) probeTable(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
+	if s.table == nil {
+		return noSpec
+	}
 	predAddr, ok := s.table.Probe(te.PC)
+	return s.specPredict(in, te, e, predAddr, ok, pathPredict)
+}
+
+// specPredict implements the prediction path after its ID1 probe: ID2
+// speculative access with the predicted address, end-of-EXE verification.
+// Forwarding requires !Mem_Interlock ∧ Table_Hit ∧ Port_Allocated ∧
+// DCache_Hit ∧ CA==PA and yields an effective load latency of 1 cycle.
+// path is pathPredict for the table probe and pathAssist for an assist
+// mechanism's lookup, which shares this timing exactly. The assist trains
+// in MEM on every load (see StepInst), mirroring the hardware-only
+// predictor's always-update policy.
+func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e, predAddr int64, ok bool, path pathID) specResult {
+	r := specResult{lat: -1, path: path, eligible: true}
 	if !ok {
 		r.fail |= FailNoPrediction
 		return r
@@ -905,49 +903,6 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e int64) specResult 
 	return r
 }
 
-// specAssist drives a load through the registry assist mechanism with the
-// prediction path's exact timing: ID1 lookup, ID2 speculative access with
-// the predicted address, end-of-EXE verification, and an effective latency
-// of 1 cycle on forward. The mechanism trains in MEM on every load (see
-// StepInst), mirroring the hardware-only predictor's always-update policy.
-func (s *Sim) specAssist(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
-	r := specResult{lat: -1, path: pathAssist, eligible: true}
-	predAddr, ok := s.assist.Lookup(int64(te.PC))
-	if !ok {
-		r.fail |= FailNoPrediction
-		return r
-	}
-	specCycle := e - 1
-	if !s.takePort(specCycle) {
-		r.fail |= FailNoPort
-		return r
-	}
-	r.speculated = true
-	r.specCycle = specCycle
-	r.specAddr = predAddr
-	ready, hit := s.dc.access(predAddr, specCycle, true, true)
-	correct := predAddr == te.EA
-	milk := s.memInterlock(te.EA, int64(in.Width), specCycle)
-	fwd := hit && ready <= e-1 && correct && !milk
-	if !correct {
-		r.fail |= FailAddrMispredict
-	}
-	if !hit || ready > e-1 {
-		r.fail |= FailCacheMiss
-	}
-	if milk {
-		r.fail |= FailMemInterlock
-	}
-	if !fwd {
-		r.dataEnd = ready
-		r.reusable = correct && !milk
-		return r
-	}
-	r.forwarded = true
-	r.lat = 1
-	return r
-}
-
 // specEarly implements the ld_e path: the base register's value is read
 // from the addressing-register cache, the address formed by the dedicated
 // full adder, and a speculative access dispatched from the decode stages.
@@ -967,10 +922,14 @@ func (s *Sim) specAssist(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
 //     (latency 1), the bound Chen & Wu report when the early path cannot
 //     run ahead of the register file.
 //
-// bindDirected distinguishes the compiler-directed R_addr (bound by the
-// ld_e itself) from the hardware-only allocate-on-use policy; both bind
-// after the lookup, so a load that just switched the binding does not hit.
-func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, e int64, bindDirected bool) specResult {
+// The compiler-directed R_addr (bound by the ld_e itself) and the
+// hardware-only allocate-on-use policy both bind after the lookup, so a
+// load that just switched the binding does not hit. Without a register
+// cache the load does not speculate.
+func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
+	if s.regcache == nil {
+		return noSpec
+	}
 	if in.Mode == isa.AMRegReg {
 		// Only register+offset (and absolute) addresses can be formed
 		// by the decode-stage adder. Not an eligible execution.

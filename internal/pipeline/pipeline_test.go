@@ -390,14 +390,15 @@ func TestStageTraceRecordsAndRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSim(t, Config{}, p)
-	s.EnableStageTrace(12)
+	var recs StageSink
+	s.AttachSink(&recs)
 	if _, err := s.Run(trace); err != nil {
 		t.Fatal(err)
 	}
-	recs := s.StageTrace()
-	if len(recs) != 12 {
-		t.Fatalf("recorded %d records, want 12", len(recs))
+	if int64(len(recs)) != s.Metrics().Insts {
+		t.Fatalf("kept %d retire events, want one per instruction (%d)", len(recs), s.Metrics().Insts)
 	}
+	recs = recs[:12]
 	for i, r := range recs {
 		if r.Fetch < 1 || r.Issue < r.Fetch+3 || r.Done < r.Issue {
 			t.Errorf("record %d has inconsistent stages: %+v", i, r)
@@ -426,17 +427,21 @@ func TestStageTraceMarksForwardedLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSim(t, cfg, p)
-	s.EnableStageTrace(trace.Len())
+	var recs StageSink
+	s.AttachSink(&recs)
 	if _, err := s.Run(trace); err != nil {
 		t.Fatal(err)
 	}
 	zero := 0
-	for _, r := range s.StageTrace() {
-		if r.Forward == 0 {
+	for _, r := range recs {
+		if r.Lat == 0 {
 			zero++
 		}
 	}
 	if zero == 0 {
 		t.Errorf("no zero-cycle loads marked in the stage trace")
+	}
+	if out := RenderStageTrace(p, recs[:20]); !strings.Contains(out, " 0 ld8_e") {
+		t.Errorf("rendered trace does not mark a zero-cycle ld8_e:\n%s", out)
 	}
 }

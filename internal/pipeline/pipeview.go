@@ -7,49 +7,33 @@ import (
 	"elag/internal/isa"
 )
 
-// StageRecord captures the stage timing of one dynamic instruction for the
-// pipeline viewer: the cycles at which it occupied IF, entered EXE, and
-// completed, plus how its load (if any) was satisfied.
-type StageRecord struct {
-	Seq     int64
-	PC      int
-	Fetch   int64 // IF cycle
-	Issue   int64 // EXE cycle (ID1/ID2 span Fetch+1 .. Issue-1)
-	Done    int64 // completion (end of MEM / writeback data ready)
-	Forward int8  // -1: not a load / not forwarded; 0: zero-cycle; 1: one-cycle
-}
+// StageSink is an EventSink that keeps the EvRetire events of a run, each
+// instruction's stage occupancy, for RenderStageTrace.
+type StageSink []Event
 
-// EnableStageTrace makes the simulation record the first n dynamic
-// instructions' stage timings, retrievable with StageTrace.
-func (s *Sim) EnableStageTrace(n int) { s.traceCap = n }
-
-// StageTrace returns the recorded stage timings.
-func (s *Sim) StageTrace() []StageRecord { return s.stageTrace }
-
-func (s *Sim) recordStages(pc int, f, e, done int64, fwd int8) {
-	if len(s.stageTrace) >= s.traceCap {
-		return
+// Event implements EventSink.
+func (k *StageSink) Event(ev *Event) {
+	if ev.Kind == EvRetire {
+		*k = append(*k, *ev)
 	}
-	s.stageTrace = append(s.stageTrace, StageRecord{
-		Seq: s.m.Insts - 1, PC: pc, Fetch: f, Issue: e, Done: done, Forward: fwd,
-	})
 }
 
-// RenderStageTrace draws the records as a text pipeline diagram, one
+// RenderStageTrace draws EvRetire events as a text pipeline diagram, one
 // instruction per row:
 //
 //	seq    pc  instruction              |F DD X M|
 //
 // F = fetch, D = decode (ID1/ID2 and any stall cycles), X = execute,
-// M = memory/completion; * marks a forwarded load (0 = zero-cycle).
-func RenderStageTrace(prog *isa.Program, recs []StageRecord) string {
-	if len(recs) == 0 {
+// M = memory/completion; a forwarded load is marked with its effective
+// latency (0 = zero-cycle, 1 = one-cycle).
+func RenderStageTrace(prog *isa.Program, retired []Event) string {
+	if len(retired) == 0 {
 		return ""
 	}
-	base := recs[0].Fetch
+	base := retired[0].Fetch
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cycle origin: %d\n", base)
-	for _, r := range recs {
+	for _, r := range retired {
 		width := int(r.Done - base + 1)
 		if width < 1 || width > 200 {
 			width = 200
@@ -70,7 +54,7 @@ func RenderStageTrace(prog *isa.Program, recs []StageRecord) string {
 			put(c, 'M')
 		}
 		mark := ' '
-		switch r.Forward {
+		switch r.Lat {
 		case 0:
 			mark = '0'
 		case 1:

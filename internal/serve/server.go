@@ -17,10 +17,6 @@ import (
 	"elag/internal/mech"
 	"elag/internal/obs"
 	"elag/internal/telemetry"
-
-	// Every mechanism kind must be in the registry before
-	// registerServerMetrics enumerates it for the per-kind series.
-	_ "elag/internal/mech/all"
 )
 
 // Extra JobError kinds produced by admission and lookup (the execution
@@ -190,7 +186,7 @@ func (s *Server) registerServerMetrics() {
 	reg.CounterFunc("elag_insts_total",
 		"Streamed trace entries replayed across all jobs (rate = replay throughput).",
 		func() float64 { return float64(s.work.Insts.Load()) })
-	// One series per registered mechanism kind, pre-declared at startup so
+	// One series per mechanism kind, pre-declared at startup so
 	// the exposition is stable from the first scrape. The values read one
 	// kind's aggregate mech.Stats at scrape time, each series its own
 	// snapshot; the Stats algebra (lookups == hits + misses, allocs <=
@@ -203,19 +199,19 @@ func (s *Server) registerServerMetrics() {
 			return func() float64 { return float64(get(s.work.MechStats(kind))) }
 		}
 		reg.CounterFunc("elag_mech_lookups_total",
-			"Assist-path mechanism probes, by registry kind.",
+			"Assist-path mechanism probes, by kind.",
 			read(func(x mech.Stats) int64 { return x.Lookups }), "kind", kind)
 		reg.CounterFunc("elag_mech_hits_total",
-			"Mechanism probes that produced a predicted address, by registry kind.",
+			"Mechanism probes that produced a predicted address, by kind.",
 			read(func(x mech.Stats) int64 { return x.Hits }), "kind", kind)
 		reg.CounterFunc("elag_mech_misses_total",
-			"Mechanism probes that produced nothing, by registry kind.",
+			"Mechanism probes that produced nothing, by kind.",
 			read(func(x mech.Stats) int64 { return x.Misses }), "kind", kind)
 		reg.CounterFunc("elag_mech_trains_total",
-			"Retirement-side mechanism updates, by registry kind.",
+			"Retirement-side mechanism updates, by kind.",
 			read(func(x mech.Stats) int64 { return x.Trains }), "kind", kind)
 		reg.CounterFunc("elag_mech_allocs_total",
-			"Mechanism entry allocations (a subset of trains), by registry kind.",
+			"Mechanism entry allocations (a subset of trains), by kind.",
 			read(func(x mech.Stats) int64 { return x.Allocs }), "kind", kind)
 	}
 	reg.CounterFunc("elag_process_cpu_seconds_total",
