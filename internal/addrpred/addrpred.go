@@ -142,12 +142,11 @@ type taggedEntry struct {
 	e   Entry
 }
 
-// TableEvent describes one training step of a table entry, for observers:
-// the state-machine transition performed by an Update, whether the entry
-// was freshly allocated (the Replace arc), and whether the prediction the
-// entry would have made for this execution was correct.
-type TableEvent struct {
-	PC       int
+// Step describes one training step of a table entry: the state-machine
+// transition an Update performed, whether the entry was freshly allocated
+// (the Replace arc, which steps from the zero State), and whether the
+// prediction the entry would have made for this execution was correct.
+type Step struct {
 	From, To State
 	Correct  bool
 	Alloc    bool
@@ -159,10 +158,6 @@ type Table struct {
 	mask  int64
 	stamp int64
 	stats Stats
-
-	// Observer, when non-nil, receives a TableEvent for every Update and
-	// UpdateIfPresent training step. Nil (the default) costs one branch.
-	Observer func(TableEvent)
 }
 
 // Validate reports whether the configuration (with zero fields defaulted)
@@ -245,43 +240,32 @@ func (t *Table) Probe(pc int) (addr int64, ok bool) {
 }
 
 // UpdateIfPresent trains the entry for pc only if one already exists (no
-// allocation on miss). The hardware-only dual-path policy gates entry
-// allocation on register interlocks but keeps training whatever entries
-// exist, so their strides stay current.
-func (t *Table) UpdateIfPresent(pc int, ca int64) (wasCorrect bool) {
-	if te := t.find(pc); te != nil {
-		t.stamp++
-		te.lru = t.stamp
-		from := te.e.State
-		wasCorrect = te.e.Update(ca)
-		if wasCorrect {
-			t.stats.Correct++
-		}
-		if t.Observer != nil {
-			t.Observer(TableEvent{PC: pc, From: from, To: te.e.State, Correct: wasCorrect})
-		}
-		return wasCorrect
+// allocation on miss) and reports whether it did. The hardware-only
+// dual-path policy gates entry allocation on register interlocks but keeps
+// training whatever entries exist, so their strides stay current.
+func (t *Table) UpdateIfPresent(pc int, ca int64) (st Step, ok bool) {
+	if t.find(pc) == nil {
+		return Step{}, false
 	}
-	return false
+	return t.Update(pc, ca), true
 }
 
 // Update trains the table with the computed address ca of the load at pc
-// (MEM stage), allocating an entry on a tag miss. It reports whether a
-// confident prediction made for this execution was correct, for statistics.
-func (t *Table) Update(pc int, ca int64) (wasCorrect bool) {
+// (MEM stage), allocating an entry on a tag miss. The step's Correct
+// reports whether a confident prediction made for this execution was
+// correct, for statistics.
+func (t *Table) Update(pc int, ca int64) Step {
 	t.stamp++
 	set := t.sets[int64(pc)&t.mask]
 	if te := t.find(pc); te != nil {
 		te.lru = t.stamp
-		from := te.e.State
-		wasCorrect = te.e.Update(ca)
-		if wasCorrect {
+		st := Step{From: te.e.State}
+		st.Correct = te.e.Update(ca)
+		st.To = te.e.State
+		if st.Correct {
 			t.stats.Correct++
 		}
-		if t.Observer != nil {
-			t.Observer(TableEvent{PC: pc, From: from, To: te.e.State, Correct: wasCorrect})
-		}
-		return wasCorrect
+		return st
 	}
 	// Replace: allocate, evicting the LRU way.
 	victim := &set[0]
@@ -299,8 +283,5 @@ func (t *Table) Update(pc int, ca int64) (wasCorrect bool) {
 	victim.lru = t.stamp
 	victim.e.Reset(ca)
 	t.stats.Allocations++
-	if t.Observer != nil {
-		t.Observer(TableEvent{PC: pc, To: victim.e.State, Alloc: true})
-	}
-	return false
+	return Step{To: victim.e.State, Alloc: true}
 }

@@ -149,12 +149,29 @@ func TestTableStridedFeed(t *testing.T) {
 	tb := mustNewTable(t, Config{Entries: 16})
 	correct := 0
 	for _, ca := range []int64{0, 8, 16, 24, 32} {
-		if tb.Update(5, ca) {
+		if tb.Update(5, ca).Correct {
 			correct++
 		}
 	}
 	if correct != 2 {
 		t.Errorf("strided feed correct = %d, want 2 (24 and 32)", correct)
+	}
+}
+
+// TestTableSteps: Update reports each training step, with From read before
+// the entry's state machine advances: the Replace arc allocates into
+// functioning, then the Figure 3 arcs of a strided feed.
+func TestTableSteps(t *testing.T) {
+	tb := mustNewTable(t, Config{Entries: 16})
+	for i, want := range []Step{
+		{To: Functioning, Alloc: true},                      // 0: replace
+		{From: Functioning, To: Learning},                   // 8: new stride
+		{From: Learning, To: Functioning},                   // 16: verified stride
+		{From: Functioning, To: Functioning, Correct: true}, // 24: correct
+	} {
+		if got := tb.Update(5, int64(8*i)); got != want {
+			t.Errorf("update %d: step %+v, want %+v", i, got, want)
+		}
 	}
 }
 
@@ -203,7 +220,9 @@ func TestTableAccuracyStats(t *testing.T) {
 
 func TestUpdateIfPresent(t *testing.T) {
 	tb := mustNewTable(t, Config{Entries: 16})
-	tb.UpdateIfPresent(9, 100)
+	if _, trained := tb.UpdateIfPresent(9, 100); trained {
+		t.Errorf("UpdateIfPresent trained an absent entry")
+	}
 	if _, ok := tb.Probe(9); ok {
 		t.Errorf("UpdateIfPresent allocated an entry")
 	}
@@ -227,7 +246,7 @@ func TestTableCorrectnessConsistency(t *testing.T) {
 		for i := 0; i < n; i++ {
 			pc := int(pcs[i] % 32)
 			pred, ok := tb.Probe(pc)
-			correct := tb.Update(pc, addrs[i])
+			correct := tb.Update(pc, addrs[i]).Correct
 			if correct && (!ok || pred != addrs[i]) {
 				return false
 			}

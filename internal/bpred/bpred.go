@@ -50,11 +50,6 @@ type BTB struct {
 	entries []entry
 	mask    int64
 	stats   Stats
-
-	// Observer, when non-nil, is called for every conditional-branch
-	// Update with the resolved direction and whether the prediction was
-	// wrong. Nil (the default) costs one branch.
-	Observer func(pc int, taken, mispredicted bool)
 }
 
 // New builds a BTB; cfg.Entries must be a power of two (0 means 1024). A
@@ -109,9 +104,6 @@ func (b *BTB) Update(pc int, taken bool, target int) (mispredicted bool) {
 	b.stats.Branches++
 	if mispredicted {
 		b.stats.Mispredicts++
-	}
-	if b.Observer != nil {
-		b.Observer(pc, taken, mispredicted)
 	}
 
 	e := &b.entries[int64(pc)&b.mask]

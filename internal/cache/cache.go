@@ -99,12 +99,6 @@ type Cache struct {
 	setMask  int64
 	stamp    int64
 	stats    Stats
-
-	// Observer, when non-nil, is called for every access with the
-	// address, whether it hit, and whether the access was speculative
-	// (issued on behalf of an early load). Nil (the default) costs one
-	// branch per access.
-	Observer func(addr int64, hit, spec bool)
 }
 
 // New builds a cache from cfg, filling zero fields with defaults. A
@@ -169,9 +163,6 @@ func (c *Cache) Access(addr int64) bool {
 	if !hit {
 		c.stats.Misses++
 	}
-	if c.Observer != nil {
-		c.Observer(addr, hit, false)
-	}
 	return hit
 }
 
@@ -183,9 +174,6 @@ func (c *Cache) AccessNoAllocate(addr int64) bool {
 	if !hit {
 		c.stats.Misses++
 	}
-	if c.Observer != nil {
-		c.Observer(addr, hit, false)
-	}
 	return hit
 }
 
@@ -194,11 +182,7 @@ func (c *Cache) AccessNoAllocate(addr int64) bool {
 // issued to the memory system), but it is tallied separately.
 func (c *Cache) SpecAccess(addr int64) bool {
 	c.stats.SpecAccesses++
-	hit := c.touch(addr, true)
-	if c.Observer != nil {
-		c.Observer(addr, hit, true)
-	}
-	return hit
+	return c.touch(addr, true)
 }
 
 func (c *Cache) touch(addr int64, allocate bool) bool {

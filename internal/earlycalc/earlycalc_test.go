@@ -1,10 +1,6 @@
 package earlycalc
 
-import (
-	"testing"
-
-	"elag/internal/isa"
-)
+import "testing"
 
 func TestSingleEntryRAddr(t *testing.T) {
 	c := New(Config{Entries: 1})
@@ -14,13 +10,13 @@ func TestSingleEntryRAddr(t *testing.T) {
 	if _, ok := c.Lookup(5); ok {
 		t.Errorf("cold lookup hit")
 	}
-	c.Bind(5, 1000, true)
+	c.Bind(5, 1000)
 	if v, ok := c.Lookup(5); !ok || v != 1000 {
 		t.Errorf("lookup after bind = %d,%v", v, ok)
 	}
 	// Binding a different register replaces the single entry — "the
 	// binding has just been switched by the current load".
-	c.Bind(7, 2000, true)
+	c.Bind(7, 2000)
 	if _, ok := c.Lookup(5); ok {
 		t.Errorf("old binding survived in a one-entry cache")
 	}
@@ -29,42 +25,12 @@ func TestSingleEntryRAddr(t *testing.T) {
 	}
 }
 
-func TestBroadcastUpdatesBoundRegister(t *testing.T) {
-	c := New(Config{Entries: 1})
-	c.Bind(5, 0, false) // bound while the producer is in flight
-	if _, ok := c.Lookup(5); ok {
-		t.Errorf("invalid entry returned a value")
-	}
-	c.Broadcast(5, 4242)
-	if v, ok := c.Lookup(5); !ok || v != 4242 {
-		t.Errorf("broadcast did not validate entry: %d,%v", v, ok)
-	}
-	// Broadcasts to unbound registers are ignored.
-	c.Broadcast(9, 1)
-	if v, _ := c.Lookup(5); v != 4242 {
-		t.Errorf("unrelated broadcast corrupted the entry")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := New(Config{Entries: 1})
-	c.Bind(5, 100, true)
-	c.Invalidate(5)
-	if _, ok := c.Lookup(5); ok {
-		t.Errorf("invalidated entry still hit")
-	}
-	c.Broadcast(5, 200)
-	if v, ok := c.Lookup(5); !ok || v != 200 {
-		t.Errorf("broadcast did not revalidate: %d,%v", v, ok)
-	}
-}
-
 func TestMultiEntryLRU(t *testing.T) {
 	c := New(Config{Entries: 2})
-	c.Bind(1, 10, true)
-	c.Bind(2, 20, true)
-	c.Lookup(1)         // 1 is now MRU
-	c.Bind(3, 30, true) // evicts 2
+	c.Bind(1, 10)
+	c.Bind(2, 20)
+	c.Lookup(1)   // 1 is now MRU
+	c.Bind(3, 30) // evicts 2
 	if _, ok := c.Lookup(2); ok {
 		t.Errorf("LRU entry survived")
 	}
@@ -78,9 +44,9 @@ func TestMultiEntryLRU(t *testing.T) {
 
 func TestRebindSameRegisterUpdatesInPlace(t *testing.T) {
 	c := New(Config{Entries: 2})
-	c.Bind(1, 10, true)
-	c.Bind(2, 20, true)
-	c.Bind(1, 11, true) // must not evict 2
+	c.Bind(1, 10)
+	c.Bind(2, 20)
+	c.Bind(1, 11) // must not evict 2
 	if _, ok := c.Lookup(2); !ok {
 		t.Errorf("rebinding an existing register evicted another entry")
 	}
@@ -91,7 +57,7 @@ func TestRebindSameRegisterUpdatesInPlace(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	c := New(Config{Entries: 1})
-	c.Bind(4, 1, true)
+	c.Bind(4, 1)
 	c.Lookup(4)
 	c.Lookup(9)
 	st := c.Stats()
@@ -100,21 +66,6 @@ func TestStats(t *testing.T) {
 	}
 	if st.HitRate() != 0.5 {
 		t.Errorf("hit rate = %v", st.HitRate())
-	}
-}
-
-func TestContainsAndReset(t *testing.T) {
-	c := New(Config{Entries: 2})
-	c.Bind(isa.Reg(8), 0, false)
-	if !c.Contains(8) {
-		t.Errorf("Contains missed an invalid-but-present entry")
-	}
-	c.Reset()
-	if c.Contains(8) {
-		t.Errorf("Reset left entries behind")
-	}
-	if st := c.Stats(); st.Binds != 0 {
-		t.Errorf("Reset left stats behind: %+v", st)
 	}
 }
 

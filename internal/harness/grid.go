@@ -19,7 +19,8 @@ import (
 // count.
 
 // forEachLab builds the lab for each workload and calls fn(ctx, i, lab),
-// fanning benchmarks across r.workers() goroutines. fn is called at most
+// fanning benchmarks across r.workers() goroutines (one worker at
+// Parallel 1 runs them in benchmark order). fn is called at most
 // once per benchmark, each invocation on a single goroutine (distinct
 // benchmarks may run concurrently). The first error cancels the remaining
 // benchmarks and is returned; cancelling ctx cancels the grid the same way
@@ -36,23 +37,6 @@ func (r *Runner) forEachLab(ctx context.Context, benches []*workload.Workload, f
 			r.Progress(benches[i].Name, int(doneN.Add(1)), len(benches))
 		}
 	}
-	if r.workers() <= 1 || len(benches) <= 1 {
-		for i, w := range benches {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			l, err := r.Lab(ctx, w)
-			if err != nil {
-				return err
-			}
-			if err := fn(ctx, i, l); err != nil {
-				return err
-			}
-			progress(i)
-		}
-		return nil
-	}
-
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -68,10 +52,7 @@ func (r *Runner) forEachLab(ctx context.Context, benches []*workload.Workload, f
 	}
 
 	idx := make(chan int)
-	workers := r.workers()
-	if workers > len(benches) {
-		workers = len(benches)
-	}
+	workers := min(r.workers(), len(benches))
 	for n := 0; n < workers; n++ {
 		wg.Add(1)
 		go func() {

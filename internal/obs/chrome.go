@@ -69,11 +69,11 @@ func chromeMetadata() []chromeEvent {
 	}
 	evs = append(evs,
 		meta("thread_name", pidPipeline, tidStalls, "stalls"),
-		meta("thread_name", pidSpec, 1, "predict (ld_p)"),
+		meta("thread_name", pidSpec, 1, "prediction path (ld_p / assist)"),
 		meta("thread_name", pidSpec, 2, "early calc (ld_e)"),
 		meta("thread_name", pidMemory, 1, "I-cache"),
 		meta("thread_name", pidMemory, 2, "D-cache"),
-		meta("thread_name", pidPred, 1, "stride table"),
+		meta("thread_name", pidPred, 1, "prediction table / assist"),
 		meta("thread_name", pidPred, 2, "R_addr"),
 		meta("thread_name", pidControl, 1, "branches"),
 	)
@@ -176,13 +176,8 @@ func chromeFromEvent(prog *isa.Program, ev *pipeline.Event) (chromeEvent, bool) 
 		}
 		return chromeEvent{Name: n, Cat: "mech", Ph: "i", Ts: ev.Cycle,
 			Pid: pidPred, Tid: 1, S: "t", Args: args}, true
-	case pipeline.EvRegBind, pipeline.EvRegInvalidate, pipeline.EvRegBroadcast:
-		n := map[pipeline.EventKind]string{
-			pipeline.EvRegBind:       "bind",
-			pipeline.EvRegInvalidate: "invalidate",
-			pipeline.EvRegBroadcast:  "broadcast",
-		}[ev.Kind]
-		return chromeEvent{Name: n, Cat: "regcache", Ph: "i", Ts: ev.Cycle,
+	case pipeline.EvRegBind:
+		return chromeEvent{Name: "bind", Cat: "regcache", Ph: "i", Ts: ev.Cycle,
 			Pid: pidPred, Tid: 2, S: "t",
 			Args: map[string]any{"reg": fmt.Sprintf("r%d", ev.Reg), "value": ev.Value}}, true
 	case pipeline.EvBranchResolve:

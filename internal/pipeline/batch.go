@@ -27,15 +27,16 @@ import (
 
 // BatchSpec is one configuration cell of a batched replay: a hardware
 // configuration plus the load-flavour overlay to resolve into its decode
-// cache (nil uses the program's baked-in flavours), and the observers to
-// attach to that cell's Sim.
+// cache (nil uses the program's baked-in flavours), and the event sink and
+// per-PC attribution to attach to that cell's Sim.
 type BatchSpec struct {
 	Config  Config
 	Flavors isa.FlavorOverlay
 	// Sink, when non-nil, receives the cell's cycle-level event stream
 	// (stage occupancy, speculation launch/forward/fail with failure
-	// terms, R_addr and prediction-table transitions, cache misses,
-	// stalls). Observation never changes the timing result. Replay calls
+	// terms, R_addr binds, prediction-table transitions, cache accesses
+	// and misses, branches, stalls). Observation never changes the timing
+	// result. Replay calls
 	// the sink from a lane goroutine, never concurrently for one spec;
 	// share one sink across specs only if it is safe for concurrent use.
 	Sink EventSink
@@ -45,7 +46,8 @@ type BatchSpec struct {
 }
 
 // NewBatch constructs one independent Sim per spec over prog, with each
-// spec's observers attached. Any construction error aborts the whole batch.
+// spec's sink and attribution attached. Any construction error aborts the
+// whole batch.
 func NewBatch(prog *isa.Program, specs []BatchSpec) ([]*Sim, error) {
 	sims := make([]*Sim, len(specs))
 	for i, sp := range specs {

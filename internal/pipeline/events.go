@@ -4,17 +4,16 @@ import (
 	"strings"
 
 	"elag/internal/addrpred"
-	"elag/internal/earlycalc"
 	"elag/internal/isa"
 )
 
-// This file is the cycle-level event layer of the timing model. A Sim with
-// no sink attached pays a single nil check per emission site, changes no
-// timing state, and allocates nothing: tracing off is the default and is
-// free. AttachSink threads one EventSink through the pipeline proper and
-// the component models (prediction table, addressing-register cache, the
-// two caches and the BTB), after which every architectural-visible
-// micro-event of a run is observable in program order.
+// This file is the cycle-level event layer of the timing model. The Sim is
+// the only emitter: each event is built right after the component call it
+// reports (cache access, BTB update, table training, R_addr bind, assist
+// lookup or train), stamped with the cycle the model times that call at.
+// The component models carry no hooks. A Sim with no sink attached pays a
+// single nil check per emission site, changes no timing state, and
+// allocates nothing: tracing off is the default and is free.
 
 // FailMask is the bitmask of Section 3.2 forwarding-failure terms recorded
 // for a speculation that did not forward. A single failed speculation may
@@ -76,46 +75,49 @@ type EventKind uint8
 // Event kinds.
 const (
 	// EvRetire reports the stage occupancy of one retired instruction:
-	// Fetch/Issue/Done cycles (decode spans Fetch+1..Issue-1).
+	// Fetch/Issue/Done cycles (decode spans Fetch+1..Issue-1; Cycle is
+	// Done).
 	EvRetire EventKind = iota
 	// EvSpecLaunch: a speculative data-cache access was issued from the
 	// decode stages (Cycle = access cycle, Addr = speculative address).
 	EvSpecLaunch
 	// EvSpecForward: speculative data was forwarded to the load (Lat is
-	// the effective latency, 0 or 1).
+	// the effective latency, 0 or 1; Cycle is the issue cycle).
 	EvSpecForward
 	// EvSpecFail: a load eligible for early address generation did not
-	// forward; Fail holds the failure-term bitmask.
+	// forward; Fail holds the failure-term bitmask (Cycle is the issue
+	// cycle).
 	EvSpecFail
-	// EvRegBind: an addressing register was (re)bound (Reg, Value).
+	// EvRegBind: an addressing register was (re)bound (Reg, Value) by the
+	// load's decode; Cycle is its ID2 cycle.
 	EvRegBind
-	// EvRegInvalidate: a cached addressing register became incoherent.
-	EvRegInvalidate
-	// EvRegBroadcast: a register-file write was broadcast to R_addr.
-	EvRegBroadcast
 	// EvTableTransition: the prediction-table entry for PC stepped its
-	// state machine (From/To states, Correct, Alloc).
+	// state machine (From/To states, Correct, Alloc) in MEM.
 	EvTableTransition
-	// EvCacheAccess: a data-cache access (Hit, Spec; Level is 'D').
+	// EvCacheAccess: a data-cache access at Cycle (Hit is the tag store's
+	// answer, Spec marks a speculative access; Level is 'D'). A
+	// speculative access's Cycle is its load's EvSpecLaunch cycle.
 	EvCacheAccess
 	// EvCacheMiss: a cache miss began at Cycle; the fill completes at
 	// the end of FillDone (Level 'I' or 'D', Spec for speculative).
 	EvCacheMiss
-	// EvBranchResolve: a branch resolved (Taken, Mispredict).
+	// EvBranchResolve: a conditional branch resolved in EXE (Taken,
+	// Mispredict).
 	EvBranchResolve
 	// EvStall: the instruction spent Cycles bubbles waiting on Cause
 	// before issue.
 	EvStall
 	// EvMech: the assist mechanism performed an operation (MechOp 'L'
-	// lookup, 'T' train, 'A' alloc; Hit for a predicting lookup).
+	// lookup at ID2, 'T' train or 'A' alloc in MEM; Hit for a predicting
+	// lookup).
 	EvMech
 )
 
 // String names the event kind.
 func (k EventKind) String() string {
 	names := [...]string{"retire", "spec-launch", "spec-forward", "spec-fail",
-		"reg-bind", "reg-invalidate", "reg-broadcast", "table-transition",
-		"cache-access", "cache-miss", "branch", "stall", "mech"}
+		"reg-bind", "table-transition", "cache-access", "cache-miss", "branch",
+		"stall", "mech"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -156,7 +158,7 @@ type Event struct {
 	Kind  EventKind
 	Seq   int64 // dynamic instruction sequence number
 	PC    int   // static instruction index
-	Cycle int64 // primary cycle of the event
+	Cycle int64 // the cycle the model times the event at (see EventKind)
 
 	// EvRetire stage occupancy.
 	Fetch, Issue, Done int64
@@ -178,7 +180,7 @@ type Event struct {
 	Correct  bool
 	Alloc    bool
 
-	// Addressing-register cache (EvRegBind/Invalidate/Broadcast).
+	// Addressing-register cache (EvRegBind).
 	Reg   isa.Reg
 	Value int64
 
@@ -201,73 +203,26 @@ type EventSink interface {
 	Event(ev *Event)
 }
 
-// AttachSink connects sink to the simulation and threads observers through
-// the component models (prediction table, register cache, caches, BTB).
-// Attach before Run; a nil sink detaches everything and restores the
-// zero-overhead path.
-func (s *Sim) AttachSink(sink EventSink) {
-	s.sink = sink
-	if sink == nil {
-		if s.table != nil {
-			s.table.Observer = nil
-		}
-		if s.regcache != nil {
-			s.regcache.Observer = nil
-		}
-		s.dc.c.Observer = nil
-		s.ic.c.Observer = nil
-		s.dc.onMiss = nil
-		s.ic.onMiss = nil
-		s.btb.Observer = nil
-		return
-	}
-	if s.table != nil {
-		s.table.Observer = func(ev addrpred.TableEvent) {
-			s.ev = Event{Kind: EvTableTransition, Seq: s.m.Insts - 1, PC: ev.PC,
-				Cycle: s.obsCycle, From: ev.From, To: ev.To,
-				Correct: ev.Correct, Alloc: ev.Alloc}
-			sink.Event(&s.ev)
-		}
-	}
-	if s.regcache != nil {
-		s.regcache.Observer = func(ev earlycalc.Event) {
-			kind := EvRegBind
-			switch ev.Op {
-			case earlycalc.OpInvalidate:
-				kind = EvRegInvalidate
-			case earlycalc.OpBroadcast:
-				kind = EvRegBroadcast
-			}
-			s.ev = Event{Kind: kind, Seq: s.m.Insts - 1, Cycle: s.obsCycle,
-				Reg: ev.Reg, Value: ev.Value}
-			sink.Event(&s.ev)
-		}
-	}
-	s.dc.c.Observer = func(addr int64, hit, spec bool) {
-		s.ev = Event{Kind: EvCacheAccess, Seq: s.m.Insts - 1, Cycle: s.obsCycle,
-			Level: 'D', Addr: addr, Hit: hit, Spec: spec}
-		sink.Event(&s.ev)
-	}
-	s.dc.onMiss = func(addr, cycle, done int64, spec bool) {
-		s.ev = Event{Kind: EvCacheMiss, Seq: s.m.Insts - 1, Cycle: cycle,
-			Level: 'D', Addr: addr, FillDone: done, Spec: spec}
-		sink.Event(&s.ev)
-	}
-	s.ic.onMiss = func(addr, cycle, done int64, spec bool) {
-		s.ev = Event{Kind: EvCacheMiss, Seq: s.m.Insts - 1, Cycle: cycle,
-			Level: 'I', Addr: addr, FillDone: done}
-		sink.Event(&s.ev)
-	}
-	s.btb.Observer = func(pc int, taken, mispredict bool) {
-		s.ev = Event{Kind: EvBranchResolve, Seq: s.m.Insts - 1, PC: pc,
-			Cycle: s.obsCycle, Taken: taken, Mispredict: mispredict}
-		sink.Event(&s.ev)
-	}
-}
+// AttachSink connects sink to the simulation; a nil sink detaches it.
+// Attach before Run.
+func (s *Sim) AttachSink(sink EventSink) { s.sink = sink }
 
 // emit fills the reusable event buffer and delivers it; callers must have
 // checked s.sink != nil.
 func (s *Sim) emit(ev Event) {
 	s.ev = ev
 	s.sink.Event(&s.ev)
+}
+
+// emitDAccess reports one D-cache access at cycle and, for a fresh miss,
+// the fill that completes at ready; callers must have checked s.sink !=
+// nil.
+func (s *Sim) emitDAccess(addr, cycle, ready int64, tagHit, miss, spec bool) {
+	sq := s.m.Insts - 1
+	s.emit(Event{Kind: EvCacheAccess, Seq: sq, Cycle: cycle, Level: 'D',
+		Addr: addr, Hit: tagHit, Spec: spec})
+	if miss {
+		s.emit(Event{Kind: EvCacheMiss, Seq: sq, Cycle: cycle, Level: 'D',
+			Addr: addr, FillDone: ready, Spec: spec})
+	}
 }

@@ -40,13 +40,19 @@ func obsTraceUnder(t *testing.T, cfg Config) (*emu.Trace, *Sim) {
 	return trace, mustSim(t, cfg, p)
 }
 
-// countingSink tallies the event stream by kind, failure term and
-// mechanism operation.
+// countingSink tallies the event stream by kind, failure term, mechanism
+// operation and component outcome.
 type countingSink struct {
 	byKind   map[EventKind]int64
 	failBits map[byte]map[FailMask]int64 // path -> term bit -> count
 	mechOps  map[byte]int64              // EvMech MechOp -> count
 	mechHits int64                       // 'L' events with Hit
+
+	// D-cache EvCacheAccess events: demand, speculative, and demand tag
+	// misses.
+	dAccess, dSpecAccess, dMisses int64
+	mispredicts                   int64 // EvBranchResolve with Mispredict
+	tableAllocs, tableCorrect     int64 // EvTableTransition with Alloc / Correct
 }
 
 func (c *countingSink) Event(ev *Event) {
@@ -56,13 +62,34 @@ func (c *countingSink) Event(ev *Event) {
 		c.mechOps = map[byte]int64{}
 	}
 	c.byKind[ev.Kind]++
-	if ev.Kind == EvMech {
+	switch ev.Kind {
+	case EvCacheAccess:
+		switch {
+		case ev.Spec:
+			c.dSpecAccess++
+		case ev.Hit:
+			c.dAccess++
+		default:
+			c.dAccess++
+			c.dMisses++
+		}
+	case EvBranchResolve:
+		if ev.Mispredict {
+			c.mispredicts++
+		}
+	case EvTableTransition:
+		if ev.Alloc {
+			c.tableAllocs++
+		}
+		if ev.Correct {
+			c.tableCorrect++
+		}
+	case EvMech:
 		c.mechOps[ev.MechOp]++
 		if ev.MechOp == 'L' && ev.Hit {
 			c.mechHits++
 		}
-	}
-	if ev.Kind == EvSpecFail {
+	case EvSpecFail:
 		m := c.failBits[ev.Path]
 		if m == nil {
 			m = map[FailMask]int64{}
@@ -101,28 +128,47 @@ func TestObservationDoesNotPerturbTiming(t *testing.T) {
 	}
 }
 
-// TestEventCounterConsistency: the event stream must reproduce the global
-// counters — retires equal instructions, spec launches/forwards/fails and
-// per-term failure bits equal the PathStats sums. Under each assist of
-// AssistSpecs, the 'A'-path failure bits equal Predict's counters and the
-// EvMech events equal the mechanism's Stats: 'L' events its lookups (those
-// with Hit its hits), 'T' plus 'A' events its trains, 'A' its allocations.
-func TestEventCounterConsistency(t *testing.T) {
-	t.Run("compiler", func(t *testing.T) {
-		sink, m := countEvents(t, obsConfig())
-		if sink.byKind[EvBranchResolve] == 0 || sink.byKind[EvTableTransition] == 0 ||
-			sink.byKind[EvRegBind] == 0 || sink.byKind[EvCacheAccess] == 0 {
-			t.Errorf("expected branch/table/reg-bind/cache events, got %v", sink.byKind)
-		}
-		if n := sink.byKind[EvMech]; n != 0 || m.MechStats != nil {
-			t.Errorf("paper configuration: %d mech events, MechStats %+v", n, m.MechStats)
-		}
-		checkFailBits(t, sink, 'P', &m.Predict)
-		checkFailBits(t, sink, 'E', &m.Early)
-	})
+// eventConfig is one configuration the event tests run under.
+type eventConfig struct {
+	name   string
+	cfg    Config
+	assist bool
+}
+
+// eventConfigs lists every machine of Machines at its default sizes, then
+// every assist of AssistSpecs.
+func eventConfigs() []eventConfig {
+	var out []eventConfig
+	for _, m := range Machines {
+		out = append(out, eventConfig{name: m.Name, cfg: m.Select.Config(m.Table, m.Regs)})
+	}
 	for _, sp := range AssistSpecs {
-		t.Run(sp.String(), func(t *testing.T) {
-			sink, m := countEvents(t, Config{Mechanisms: []mech.Spec{sp}})
+		out = append(out, eventConfig{name: sp.String(),
+			cfg: Config{Mechanisms: []mech.Spec{sp}}, assist: true})
+	}
+	return out
+}
+
+// TestEventCounterConsistency: the event stream must reproduce the global
+// counters under every machine and assist (see countEvents). On a paper
+// machine no EvMech is emitted and the 'P'/'E' failure bits equal the
+// PathStats counters. Under each assist of AssistSpecs, the 'A'-path
+// failure bits equal Predict's counters and the EvMech events equal the
+// mechanism's Stats: 'L' events its lookups (those with Hit its hits), 'T'
+// plus 'A' events its trains, 'A' its allocations.
+func TestEventCounterConsistency(t *testing.T) {
+	for _, ec := range eventConfigs() {
+		t.Run(ec.name, func(t *testing.T) {
+			sink, m := countEvents(t, ec.cfg)
+			if !ec.assist {
+				if n := sink.byKind[EvMech]; n != 0 || m.MechStats != nil {
+					t.Errorf("paper configuration: %d mech events, MechStats %+v", n, m.MechStats)
+				}
+				checkFailBits(t, sink, 'P', &m.Predict)
+				checkFailBits(t, sink, 'E', &m.Early)
+				return
+			}
+			sp := ec.cfg.Mechanisms[0]
 			st := m.MechStats
 			if st == nil || m.MechKind != sp.Kind {
 				t.Fatalf("MechKind %q, MechStats %v; want kind %s", m.MechKind, st, sp.Kind)
@@ -154,7 +200,14 @@ func TestEventCounterConsistency(t *testing.T) {
 }
 
 // countEvents runs the observation program under cfg with a countingSink
-// and checks the path-independent event counts against the metrics.
+// and checks the path-independent event counts against the metrics:
+// retires equal instructions; spec launches, forwards and fails equal the
+// PathStats sums; demand and speculative D-cache access events equal the
+// cache's accesses and speculative accesses, and demand ones that missed
+// its misses; branch events equal the BTB's branches and those that
+// mispredicted its mispredicts; table transitions that allocated equal
+// the table's allocations and those that were correct its correct
+// predictions; R_addr binds equal the register cache's binds.
 func countEvents(t *testing.T, cfg Config) (*countingSink, *Metrics) {
 	t.Helper()
 	trace, s := obsTraceUnder(t, cfg)
@@ -164,20 +217,83 @@ func countEvents(t *testing.T, cfg Config) (*countingSink, *Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sink.byKind[EvRetire], m.Insts; got != want {
-		t.Errorf("retire events %d != instructions %d", got, want)
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"retire events vs instructions", sink.byKind[EvRetire], m.Insts},
+		{"spec-launch events vs speculated", sink.byKind[EvSpecLaunch], m.Predict.Speculated + m.Early.Speculated},
+		{"spec-forward events vs forwarded", sink.byKind[EvSpecForward], m.Predict.Forwarded + m.Early.Forwarded},
+		{"spec-fail events vs eligible-forwarded", sink.byKind[EvSpecFail],
+			m.Predict.Eligible + m.Early.Eligible - m.Predict.Forwarded - m.Early.Forwarded},
+		{"demand D-cache access events vs accesses", sink.dAccess, m.DCacheStats.Accesses},
+		{"speculative D-cache access events vs spec accesses", sink.dSpecAccess, m.DCacheStats.SpecAccesses},
+		{"demand D-cache access misses vs misses", sink.dMisses, m.DCacheStats.Misses},
+		{"branch events vs branches", sink.byKind[EvBranchResolve], m.BTBStats.Branches},
+		{"mispredicted branch events vs mispredicts", sink.mispredicts, m.BTBStats.Mispredicts},
+		{"alloc transitions vs allocations", sink.tableAllocs, m.TableStats.Allocations},
+		{"correct transitions vs correct predictions", sink.tableCorrect, m.TableStats.Correct},
+		{"reg-bind events vs binds", sink.byKind[EvRegBind], m.RegCacheStat.Binds},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d != %d", c.what, c.got, c.want)
+		}
 	}
-	if got, want := sink.byKind[EvSpecLaunch], m.Predict.Speculated+m.Early.Speculated; got != want {
-		t.Errorf("spec-launch events %d != speculated %d", got, want)
-	}
-	if got, want := sink.byKind[EvSpecForward], m.Predict.Forwarded+m.Early.Forwarded; got != want {
-		t.Errorf("spec-forward events %d != forwarded %d", got, want)
-	}
-	fails := m.Predict.Eligible + m.Early.Eligible - m.Predict.Forwarded - m.Early.Forwarded
-	if got := sink.byKind[EvSpecFail]; got != fails {
-		t.Errorf("spec-fail events %d != eligible-forwarded %d", got, fails)
+	if m.DCacheStats.Accesses == 0 || m.BTBStats.Branches == 0 {
+		t.Errorf("no D-cache or branch traffic: %+v, %+v", m.DCacheStats, m.BTBStats)
 	}
 	return sink, m
+}
+
+// specCycleSink keeps each load's EvSpecLaunch cycle by Seq and the
+// speculative D-cache events, which are emitted before their launch.
+type specCycleSink struct {
+	launch map[int64]int64
+	access []Event
+}
+
+func (c *specCycleSink) Event(ev *Event) {
+	switch {
+	case ev.Kind == EvSpecLaunch:
+		c.launch[ev.Seq] = ev.Cycle
+	case (ev.Kind == EvCacheAccess || ev.Kind == EvCacheMiss) && ev.Spec:
+		c.access = append(c.access, *ev)
+	}
+}
+
+// TestSpecAccessAtLaunchCycle: a speculative D-cache access happens on the
+// cycle its load launches the speculation, which for a load held in
+// decode is later than ID2. Under every machine and assist, each
+// speculative EvCacheAccess and EvCacheMiss carries the Cycle of the
+// same-Seq EvSpecLaunch.
+func TestSpecAccessAtLaunchCycle(t *testing.T) {
+	for _, ec := range eventConfigs() {
+		t.Run(ec.name, func(t *testing.T) {
+			trace, s := obsTraceUnder(t, ec.cfg)
+			sink := &specCycleSink{launch: map[int64]int64{}}
+			s.AttachSink(sink)
+			if _, err := s.Run(trace); err != nil {
+				t.Fatal(err)
+			}
+			if ec.cfg.Select != SelNone || ec.assist {
+				if len(sink.access) == 0 {
+					t.Fatal("no speculative D-cache access")
+				}
+			}
+			bad := 0
+			for _, ev := range sink.access {
+				if l, ok := sink.launch[ev.Seq]; !ok || l != ev.Cycle {
+					if bad++; bad <= 5 {
+						t.Errorf("seq %d: speculative %v at cycle %d, launch at %d (found %v)",
+							ev.Seq, ev.Kind, ev.Cycle, l, ok)
+					}
+				}
+			}
+			if bad > 5 {
+				t.Errorf("%d of %d speculative D-cache events off their launch cycle", bad, len(sink.access))
+			}
+		})
+	}
 }
 
 // checkFailBits compares the failure-term bits of path's EvSpecFail

@@ -117,9 +117,6 @@ type timedCache struct {
 	// fills. It never decreases; when it is <= the current cycle, every
 	// remaining entry is stale (absent, behaviorally).
 	maxFillDone int64
-	// onMiss, when non-nil, observes each fresh miss: the cycle it began,
-	// the cycle its fill completes, and whether it was speculative.
-	onMiss func(addr, cycle, done int64, spec bool)
 }
 
 func newTimedCache(c *cache.Cache) *timedCache {
@@ -173,9 +170,10 @@ func (t *timedCache) addFill(block, done, cycle int64) {
 
 // access performs an access at cycle and returns the cycle at the end of
 // which data is available, plus whether it was a true (same-cycle) hit.
-func (t *timedCache) access(addr, cycle int64, spec, allocate bool) (ready int64, hit bool) {
+// For the event stream it also returns the tag store's answer and whether
+// a fresh miss began at cycle, whose fill completes at ready.
+func (t *timedCache) access(addr, cycle int64, spec, allocate bool) (ready int64, hit, tagHit, miss bool) {
 	block := addr >> t.blockShift
-	var tagHit bool
 	switch {
 	case spec:
 		tagHit = t.c.SpecAccess(addr)
@@ -195,22 +193,19 @@ func (t *timedCache) access(addr, cycle int64, spec, allocate bool) (ready int64
 		if i := t.findFill(block); i >= 0 {
 			if done := t.fills[i].done; done > cycle {
 				// Fill still in flight from an earlier miss.
-				return done, false
+				return done, false, tagHit, false
 			}
 			t.removeFill(i)
 		}
 	}
 	if tagHit {
-		return cycle, true
+		return cycle, true, true, false
 	}
 	done := cycle + int64(t.c.MissPenalty())
-	if t.onMiss != nil {
-		t.onMiss(addr, cycle, done, spec)
-	}
 	if allocate || spec {
 		t.addFill(block, done, cycle)
 	}
-	return done, false
+	return done, false, false, true
 }
 
 type storeRec struct {
@@ -276,10 +271,9 @@ type Sim struct {
 	storeMaxMem int64
 
 	// Observability (all nil/zero when disabled — the default).
-	sink     EventSink     // cycle-level event stream, set by AttachSink
-	ev       Event         // reusable event buffer passed to the sink
-	obsCycle int64         // approximate cycle for component-observer events
-	attrib   []LoadPCStats // per-PC load attribution, set by EnablePerPC
+	sink   EventSink     // cycle-level event stream, set by AttachSink
+	ev     Event         // reusable event buffer passed to the sink
+	attrib []LoadPCStats // per-PC load attribution, set by EnablePerPC
 }
 
 // New creates a simulation with the given configuration over prog. flavors
@@ -432,17 +426,20 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 		if s.icLastReady > f {
 			f = s.icLastReady
 		}
-	} else if iblock == s.icLastBlock && f >= s.icLastReady && s.ic.c.Observer == nil {
+	} else if iblock == s.icLastBlock && f >= s.icLastReady {
 		// Refetch of the last instruction block at or past its fill
 		// completion. No intervening I-cache access can have evicted it (an
 		// access would have changed icLastBlock) and fetch cycles never
 		// regress, so this is a guaranteed same-cycle hit: count it without
-		// probing the tag store or the fill map. With an observer attached
-		// the full path runs so every access is observed.
+		// probing the tag store or the fill map.
 		s.ic.c.CountHit()
 		s.icLastCycle, s.icLastReady = f, f
 	} else {
-		ready, _ := s.ic.access(iaddr, f, false, true)
+		ready, _, _, miss := s.ic.access(iaddr, f, false, true)
+		if miss && s.sink != nil {
+			s.emit(Event{Kind: EvCacheMiss, Seq: s.m.Insts - 1, Cycle: f,
+				Level: 'I', Addr: iaddr, FillDone: ready})
+		}
 		s.icLastBlock, s.icLastCycle, s.icLastReady = iblock, f, ready
 		if ready > f {
 			f = ready
@@ -457,7 +454,6 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	s.nextFetch = f
 
 	d1 := f + 1
-	d2 := f + 2
 
 	// ---- operand readiness (scoreboard) ----
 	ePipe := f + 3
@@ -481,7 +477,6 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	spec := noSpec
 	if md.isLoad() {
 		s.m.Loads++
-		s.obsCycle = d2
 		spec = s.speculate(in, md, te, d1, e)
 		switch spec.path {
 		// The assist path accounts into Predict: it has the prediction
@@ -581,8 +576,10 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 			effLat = ready - e
 		default:
 			m := s.memPort(e + 1)
-			s.obsCycle = m
-			dataEnd, _ := s.dc.access(te.EA, m, false, true)
+			dataEnd, _, tagHit, miss := s.dc.access(te.EA, m, false, true)
+			if s.sink != nil {
+				s.emitDAccess(te.EA, m, dataEnd, tagHit, miss, false)
+			}
 			ready = dataEnd + 1
 			done = dataEnd + 1
 			effLat = ready - e
@@ -597,8 +594,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 			s.regReady[in.Rd] = ready
 		}
 		// Train the prediction table in MEM regardless of forwarding.
-		s.obsCycle = e + 1
-		s.updatePredictor(te, spec.path == pathPredict)
+		s.updatePredictor(te, e+1, spec.path == pathPredict)
 		if s.assist != nil {
 			alloc := s.assist.Train(int64(te.PC), te.EA)
 			if s.sink != nil {
@@ -607,20 +603,21 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 					op = 'A'
 				}
 				s.emit(Event{Kind: EvMech, Seq: s.m.Insts - 1, PC: te.PC,
-					Cycle: s.obsCycle, Addr: te.EA, MechOp: op})
+					Cycle: e + 1, Addr: te.EA, MechOp: op})
 			}
 		}
 
 	case md.isStore():
 		s.m.Stores++
 		m := s.memPort(e + 1)
-		s.obsCycle = m
-		s.dc.access(te.EA, m, false, false) // write-through, no allocate
+		ready, _, tagHit, miss := s.dc.access(te.EA, m, false, false) // write-through, no allocate
+		if s.sink != nil {
+			s.emitDAccess(te.EA, m, ready, tagHit, miss, false)
+		}
 		done = m + 1
 		s.recordStore(e, m, te.EA, int64(in.Width))
 
 	case md.isBranch():
-		s.obsCycle = e
 		s.resolveBranch(in, te, f, d1, e)
 		done = e + 1
 
@@ -797,7 +794,7 @@ func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, e in
 		addr, ok := s.assist.Lookup(int64(te.PC))
 		if s.sink != nil {
 			s.emit(Event{Kind: EvMech, Seq: s.m.Insts - 1, PC: te.PC,
-				Cycle: s.obsCycle, Addr: addr, Hit: ok, MechOp: 'L'})
+				Cycle: d1 + 1, Addr: addr, Hit: ok, MechOp: 'L'})
 		}
 		return s.specPredict(in, te, e, addr, ok, pathAssist)
 	}
@@ -807,12 +804,12 @@ func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, e in
 		case isa.LdP:
 			return s.probeTable(in, te, e)
 		case isa.LdE:
-			return s.specEarly(in, te, e)
+			return s.specEarly(in, te, d1, e)
 		}
 	case SelAllPredict:
 		return s.probeTable(in, te, e)
 	case SelAllEarly:
-		return s.specEarly(in, te, e)
+		return s.specEarly(in, te, d1, e)
 	case SelHWDual:
 		// Eickemeyer-Vassiliadis run-time selection: interlocked base
 		// register at decode -> prediction table; otherwise early
@@ -821,21 +818,33 @@ func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, e in
 		if interlocked {
 			return s.probeTable(in, te, e)
 		}
-		return s.specEarly(in, te, e)
+		return s.specEarly(in, te, d1, e)
 	}
 	return noSpec
 }
 
-func (s *Sim) updatePredictor(te *emu.TraceEntry, predictPath bool) {
+// updatePredictor trains the prediction table in MEM (cycle mem).
+func (s *Sim) updatePredictor(te *emu.TraceEntry, mem int64, predictPath bool) {
 	if s.table == nil {
 		return
 	}
-	if predictPath {
-		s.table.Update(te.PC, te.EA)
-	} else if s.cfg.Select == SelHWDual {
+	var st addrpred.Step
+	switch {
+	case predictPath:
+		st = s.table.Update(te.PC, te.EA)
+	case s.cfg.Select == SelHWDual:
 		// Allocation is gated on interlocks, but entries that already
 		// exist keep training on every execution.
-		s.table.UpdateIfPresent(te.PC, te.EA)
+		var ok bool
+		if st, ok = s.table.UpdateIfPresent(te.PC, te.EA); !ok {
+			return
+		}
+	default:
+		return
+	}
+	if s.sink != nil {
+		s.emit(Event{Kind: EvTableTransition, Seq: s.m.Insts - 1, PC: te.PC, Cycle: mem,
+			From: st.From, To: st.To, Correct: st.Correct, Alloc: st.Alloc})
 	}
 }
 
@@ -876,7 +885,10 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e, predAddr int64, o
 	r.speculated = true
 	r.specCycle = specCycle
 	r.specAddr = predAddr
-	ready, hit := s.dc.access(predAddr, specCycle, true, true)
+	ready, hit, tagHit, miss := s.dc.access(predAddr, specCycle, true, true)
+	if s.sink != nil {
+		s.emitDAccess(predAddr, specCycle, ready, tagHit, miss, true)
+	}
 	correct := predAddr == te.EA
 	milk := s.memInterlock(te.EA, int64(in.Width), specCycle)
 	fwd := hit && ready <= e-1 && correct && !milk
@@ -914,9 +926,9 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e, predAddr int64, o
 // access is (re)issued on its last decode cycle, so it uses the R_addr
 // value as of cycle e-1 (e = the load's EXE cycle). Two outcomes:
 //
-//   - The base value was broadcast to R_addr by cycle e-1: the access
-//     completes before EXE and the data forwards with effective latency 0
-//     (a zero-cycle load — the consumer may issue with the load).
+//   - The base value was ready by cycle e-1: the access completes before
+//     EXE and the data forwards with effective latency 0 (a zero-cycle
+//     load — the consumer may issue with the load).
 //   - The base arrives exactly at issue (the load was stalled on it): the
 //     access overlaps the EXE address calculation and saves one cycle
 //     (latency 1), the bound Chen & Wu report when the early path cannot
@@ -924,9 +936,9 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e, predAddr int64, o
 //
 // The compiler-directed R_addr (bound by the ld_e itself) and the
 // hardware-only allocate-on-use policy both bind after the lookup, so a
-// load that just switched the binding does not hit. Without a register
-// cache the load does not speculate.
-func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
+// load that just switched the binding does not hit; the bind is reported at
+// ID2 (d1+1). Without a register cache the load does not speculate.
+func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, e int64) specResult {
 	if s.regcache == nil {
 		return noSpec
 	}
@@ -947,18 +959,21 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
 		ready := s.regReady[in.Base]
 		// (Re)bind after the lookup: ld_e binds its base register;
 		// hardware-only policies allocate base registers on use. The
-		// entry is bound valid: coherence with in-flight producers is
-		// checked against the scoreboard at lookup time (the
-		// R_addr_Interlock term), which subsumes the hardware's
-		// broadcast-on-writeback.
-		s.regcache.Bind(in.Base, te.BaseVal, true)
+		// entry is bound valid, and coherence with an in-flight producer
+		// is checked against the scoreboard here (the R_addr_Interlock
+		// term) in place of the paper's broadcast (DESIGN §5b rule 10).
+		s.regcache.Bind(in.Base, te.BaseVal)
+		if s.sink != nil {
+			s.emit(Event{Kind: EvRegBind, Seq: s.m.Insts - 1, Cycle: d1 + 1,
+				Reg: in.Base, Value: te.BaseVal})
+		}
 		if !hit {
 			r.fail |= FailRegMiss
 			return r
 		}
 		switch {
 		case ready <= specCycle:
-			// Value broadcast in time for a pre-EXE access.
+			// Base ready in time for a pre-EXE access.
 		case ready <= e:
 			// Base arrives at issue: overlap the access with EXE.
 			lat = 1
@@ -977,7 +992,10 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
 	r.specAddr = te.EA
 	// Coherent R_addr implies the speculative address equals the
 	// architectural effective address.
-	dataEnd, chit := s.dc.access(te.EA, specCycle, true, true)
+	dataEnd, chit, tagHit, miss := s.dc.access(te.EA, specCycle, true, true)
+	if s.sink != nil {
+		s.emitDAccess(te.EA, specCycle, dataEnd, tagHit, miss, true)
+	}
 	milk := s.memInterlock(te.EA, int64(in.Width), specCycle)
 	if milk {
 		r.fail |= FailMemInterlock
@@ -1003,6 +1021,10 @@ func (s *Sim) resolveBranch(in *isa.Inst, te *emu.TraceEntry, f, d1, e int64) {
 	case isa.OpBr:
 		s.m.Branches++
 		mis := s.btb.Update(te.PC, te.Taken, te.NextPC)
+		if s.sink != nil {
+			s.emit(Event{Kind: EvBranchResolve, Seq: s.m.Insts - 1, PC: te.PC,
+				Cycle: e, Taken: te.Taken, Mispredict: mis})
+		}
 		switch {
 		case mis:
 			s.m.Mispredicts++
