@@ -12,7 +12,6 @@
 //	-pass-stats f  write per-pass statistics JSON (elag-passes/v1); "-" = stderr
 //	-dump-ir pass  print the IR after every run of the named pass
 //	-no-classify   leave every load as ld_n
-//	-no-opt        skip the classical optimizations
 //	-ec-groups N   give N base-register groups ld_e (default 1)
 //	-additive      use the paper's literal additive S_load fixpoint
 //	-describe      print the per-load classification listing
@@ -40,7 +39,6 @@ func main() {
 	passStats := flag.String("pass-stats", "", `write per-pass statistics JSON to file ("-" for stderr)`)
 	dumpIR := flag.String("dump-ir", "", "print IR after every run of the named pass")
 	noClassify := flag.Bool("no-classify", false, "leave every load as ld_n")
-	noOpt := flag.Bool("no-opt", false, "skip classical optimizations")
 	ecGroups := flag.Int("ec-groups", 1, "base-register groups assigned ld_e")
 	additive := flag.Bool("additive", false, "use the paper's additive S_load fixpoint")
 	describe := flag.Bool("describe", false, "print per-load classification")
@@ -83,13 +81,6 @@ func main() {
 	var stats elag.PassStats
 	if *passStats != "" {
 		opts.Stats = &stats
-	}
-	if *noOpt {
-		opts.Opt.DisableInline = true
-		opts.Opt.DisableLICM = true
-		opts.Opt.DisableStrengthReduce = true
-		opts.Opt.DisableRLE = true
-		opts.Opt.Rounds = 1
 	}
 	p, err := elag.Build(string(src), opts)
 	if err != nil {

@@ -46,7 +46,6 @@ import (
 	"elag/internal/mcc"
 	"elag/internal/mech"
 	"elag/internal/obs"
-	"elag/internal/opt"
 	"elag/internal/passman"
 	"elag/internal/pipeline"
 	"elag/internal/profile"
@@ -62,8 +61,6 @@ type (
 	Metrics = pipeline.Metrics
 	// RunResult is a functional-emulation result.
 	RunResult = emu.Result
-	// OptOptions tunes the classical optimizer.
-	OptOptions = opt.Options
 	// ClassifyOptions tunes the load classifier.
 	ClassifyOptions = core.Options
 	// Classification is the per-load NT/PD/EC assignment.
@@ -258,27 +255,19 @@ func ParseOptLevel(s string) (OptLevel, error) { return passman.ParseOptLevel(s)
 
 // BuildOptions controls compilation.
 type BuildOptions struct {
-	// Opt tunes the classical optimizer pipeline the legacy way
-	// (per-pass disable flags). Honored only when neither Level nor
-	// Passes is set; the zero value means the full O2 schedule.
-	Opt OptOptions
 	// Classify tunes the load-classification heuristics.
 	Classify ClassifyOptions
 	// DisableClassify leaves every load as ld_n (the hardware-only
 	// configurations ignore flavours anyway).
 	DisableClassify bool
 
-	// Level selects a predefined pipeline (O0/O1/O2); the zero value
-	// defers to Opt (and therefore defaults to O2).
+	// Level selects a predefined pipeline (O0/O1/O2), each a named
+	// Passes spec; the zero value means O2.
 	Level OptLevel
 	// Passes, when non-empty, is an explicit pipeline spec (see
-	// passman.Parse), overriding Level and Opt. Example:
+	// passman.Parse), overriding Level. Example:
 	// "inline,fixpoint(constprop,dce),matsym".
 	Passes string
-	// DisableVerify skips the ir.Verify run between passes. Verification
-	// is on by default: a pass that corrupts the module is reported at
-	// the pass that broke it rather than at codegen.
-	DisableVerify bool
 	// Stats, when non-nil, accumulates per-pass statistics for the build
 	// (instructions before/after, rewrite activity, wall time).
 	Stats *PassStats
@@ -287,17 +276,14 @@ type BuildOptions struct {
 	DumpIR string
 }
 
-// pipelineFor resolves the BuildOptions precedence: Passes spec, then an
-// explicit Level, then the legacy Opt knobs (whose zero value is O2).
+// pipelineFor resolves the BuildOptions precedence: the Passes spec, else
+// the Level's spec.
 func pipelineFor(o BuildOptions) (passman.Pipeline, error) {
 	classify := !o.DisableClassify
 	if o.Passes != "" {
 		return passman.Parse(o.Passes, classify)
 	}
-	if o.Level != passman.ODefault {
-		return passman.ForLevel(o.Level, classify), nil
-	}
-	return passman.Legacy(o.Opt, classify), nil
+	return passman.ForLevel(o.Level, classify), nil
 }
 
 // Program is a compiled, classified, executable program.
@@ -317,15 +303,15 @@ type Program struct {
 	// PassDumps holds the IR snapshots requested with
 	// BuildOptions.DumpIR, in pass-run order.
 	PassDumps []PassDump
-	// Pipeline is the spec-like rendering of the pass pipeline that built
-	// the program (empty for assembly inputs).
+	// Pipeline is the -passes spec of the pipeline that built the program;
+	// BuildOptions.Passes set to it builds the program again (empty for
+	// assembly inputs).
 	Pipeline string
 }
 
 // Build compiles MC source through the full pipeline: front end, then a
 // pass-manager-scheduled flow of classical optimizations, code generation,
-// assembly, and load classification. The IR is verified between passes
-// unless BuildOptions.DisableVerify is set.
+// assembly, and load classification. The IR is verified between passes.
 func Build(src string, o BuildOptions) (*Program, error) {
 	mod, err := mcc.Compile(src)
 	if err != nil {
@@ -338,11 +324,10 @@ func Build(src string, o BuildOptions) (*Program, error) {
 	st := &passman.State{
 		Source:       src,
 		Module:       mod,
-		InlineBudget: o.Opt.InlineBudget,
 		ClassifyOpts: o.Classify,
 	}
 	mgr := passman.Manager{
-		Verify:    !o.DisableVerify,
+		Verify:    true,
 		Stats:     o.Stats,
 		DumpAfter: o.DumpIR,
 	}
@@ -504,22 +489,15 @@ func (p *Program) ProfileContext(ctx context.Context, fuel int64) (*LoadProfile,
 
 // ApplyProfile performs the paper's profile-guided reclassification: NT
 // loads whose profiled prediction rate exceeds threshold (0 means the
-// paper's 60%) become PD. The program's load flavours are rewritten. It is
-// the passman "profile-promote" machine pass applied standalone.
+// paper's 60%) become PD. The program's load flavours are rewritten; a
+// program built without classification is classified first.
 func (p *Program) ApplyProfile(lp *LoadProfile, threshold float64) *Classification {
-	st := &passman.State{
-		Machine:          p.Machine,
-		Classes:          p.Classes,
-		ProfileRates:     lp.Rates(),
-		ProfileThreshold: threshold,
+	c := p.Classes
+	if c == nil {
+		c = core.Classify(p.Machine, core.Options{})
 	}
-	var mgr passman.Manager
-	if err := mgr.Run(passman.Pipeline{passman.ProfilePromotePass()}, st); err != nil {
-		// The promote pass only fails on a state with no machine
-		// program or no rates; neither is constructible here.
-		panic(fmt.Sprintf("elag: profile-promote pass failed: %v", err))
-	}
-	p.Classes = st.Classes
+	p.Classes = core.Reclassify(c, lp.Rates(), threshold)
+	p.Classes.Apply(p.Machine)
 	return p.Classes
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elag"
+	"elag/internal/passman"
 )
 
 func TestBuildAsmAndClassify(t *testing.T) {
@@ -141,6 +142,33 @@ func TestApplyProfileIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestApplyProfileClassifiesFirst: a program built without classification
+// is classified before the profile promotes its loads, so it ends up with
+// the classification and flavours of a classified build's promotion.
+func TestApplyProfileClassifiesFirst(t *testing.T) {
+	classified, err := elag.Build(smokeSrc, elag.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := elag.Build(smokeSrc, elag.BuildOptions{DisableClassify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := bare.Profile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := classified.ApplyProfile(lp, 0).String()
+	if got := bare.ApplyProfile(lp, 0).String(); got != want {
+		t.Errorf("unclassified build promoted to %s, classified build to %s", got, want)
+	}
+	a, _ := classified.Object()
+	b, _ := bare.Object()
+	if string(a) != string(b) {
+		t.Error("promoted flavours differ between the classified and unclassified builds")
+	}
+}
+
 func TestBuildErrorsAreReported(t *testing.T) {
 	if _, err := elag.Build("int main( {", elag.BuildOptions{}); err == nil {
 		t.Errorf("syntax error not reported")
@@ -211,8 +239,15 @@ func TestBuildExplicitPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Pipeline != "fixpoint(constprop,dce),lower,classify" {
+	if p.Pipeline != "fixpoint:2(constprop,dce),lower,classify" {
 		t.Errorf("pipeline = %q", p.Pipeline)
+	}
+	again, err := elag.Build(facadeLoopSrc, elag.BuildOptions{Passes: p.Pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Pipeline != p.Pipeline || again.Asm != p.Asm {
+		t.Errorf("rebuilding from the reported pipeline %q gave %q and different code", p.Pipeline, again.Pipeline)
 	}
 	if len(p.PassDumps) == 0 {
 		t.Error("no IR dumps for dce")
@@ -233,5 +268,42 @@ func TestBuildExplicitPasses(t *testing.T) {
 	}
 	if _, err := elag.Build(facadeLoopSrc, elag.BuildOptions{Passes: "bogus"}); err == nil {
 		t.Error("unknown pass accepted")
+	}
+}
+
+// TestEveryListedPassBuilds: each pass -help-passes lists builds a
+// program when placed in a minimal spec (IR passes before lower, classify
+// after it), and the list is exactly the eight per-function passes plus
+// inline, matsym, lower and classify.
+func TestEveryListedPassBuilds(t *testing.T) {
+	names := passman.Names()
+	want := "coalesce,constprop,copyprop,cse,dce,iv,licm,rle,inline,matsym,lower,classify"
+	if got := strings.Join(names, ","); got != want {
+		t.Errorf("Names() = %s, want %s", got, want)
+	}
+	ref, err := elag.Build(facadeLoopSrc, elag.BuildOptions{Level: elag.O0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes, err := ref.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		spec := n + ",lower"
+		switch n {
+		case "lower":
+			spec = "lower"
+		case "classify":
+			spec = "lower,classify"
+		}
+		p, err := elag.Build(facadeLoopSrc, elag.BuildOptions{Passes: spec})
+		if err != nil {
+			t.Errorf("pass %s (spec %q): %v", n, spec, err)
+			continue
+		}
+		if res, err := p.Run(0); err != nil || res.Output() != refRes.Output() {
+			t.Errorf("pass %s (spec %q): output %q, %v; want %q", n, spec, res.Output(), err, refRes.Output())
+		}
 	}
 }

@@ -68,9 +68,6 @@ type Options struct {
 	// group (1). Raising it models hardware with more addressing
 	// registers.
 	MaxECGroups int
-	// KeepExisting, when set, leaves loads that already carry a
-	// non-ld_n flavour untouched (for hand-annotated assembly).
-	KeepExisting bool
 	// AdditiveSLoad selects the paper's literal S_load algorithm: a
 	// purely additive fixpoint in which a register stays in S_load for
 	// the whole loop once any definition of it is load-derived. The
@@ -89,7 +86,7 @@ type Classification struct {
 	ByPC map[int]Class
 	// Reasons records, per classified PC, which heuristic produced the
 	// class ("arithmetic-dep", "load-dep group r7", "acyclic absolute",
-	// "profile-promoted", ...). Debugging aid; see DumpClasses.
+	// "promoted by profile", ...). Debugging aid; see DumpClasses.
 	Reasons map[int]string
 	// StaticNT/PD/EC count static loads per class.
 	StaticNT, StaticPD, StaticEC int
@@ -176,10 +173,6 @@ func classifyFunc(p *isa.Program, f *mfunc, o Options, c *Classification) {
 	assigned := make(map[int]bool) // PCs classified by an inner loop
 	assign := func(pc int, cl Class, why string) {
 		if assigned[pc] {
-			return
-		}
-		if o.KeepExisting && p.Insts[pc].Flavor != isa.LdN {
-			assigned[pc] = true
 			return
 		}
 		c.ByPC[pc] = cl
@@ -466,7 +459,7 @@ func Reclassify(c *Classification, rates map[int]float64, threshold float64) *Cl
 		if cl == NT {
 			if r, ok := rates[pc]; ok && r > threshold {
 				cl = PD
-				why = fmt.Sprintf("profile-promoted (rate %.2f > %.2f)", r, threshold)
+				why = fmt.Sprintf("promoted by profile (rate %.2f > %.2f)", r, threshold)
 			}
 		}
 		n.ByPC[pc] = cl

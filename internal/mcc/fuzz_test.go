@@ -7,7 +7,6 @@ import (
 	"elag/internal/asm"
 	"elag/internal/codegen"
 	"elag/internal/mcc"
-	"elag/internal/opt"
 	"elag/internal/passman"
 )
 
@@ -22,12 +21,15 @@ import (
 //     compiler bug, not a user error.
 func FuzzCompile(f *testing.F) {
 	f.Add("int main() { return 0; }")
+	o2 := passman.ForLevel(passman.O2, false)
+	optimize := o2[:len(o2)-1] // the IR steps; lowering is checked below
 	f.Fuzz(func(t *testing.T, src string) {
 		mod, err := mcc.Compile(src)
 		if err != nil {
 			return // rejected input is the expected outcome
 		}
-		if err := passman.Optimize(mod, opt.Options{}); err != nil {
+		mgr := passman.Manager{Verify: true}
+		if err := mgr.Run(optimize, &passman.State{Module: mod}); err != nil {
 			t.Fatalf("optimizer broke IR invariants: %v\nsource: %q", err, src)
 		}
 		text, err := codegen.Generate(mod)

@@ -9,7 +9,6 @@ import (
 	"elag/internal/codegen"
 	"elag/internal/emu"
 	"elag/internal/mcc"
-	"elag/internal/opt"
 	"elag/internal/passman"
 )
 
@@ -20,20 +19,14 @@ func compileRun(t *testing.T, src string) emu.Result {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := passman.Optimize(mod, opt.Options{}); err != nil {
-		t.Fatalf("optimize: %v", err)
+	st := &passman.State{Module: mod}
+	mgr := passman.Manager{Verify: true}
+	if err := mgr.Run(passman.ForLevel(passman.O2, false), st); err != nil {
+		t.Fatalf("optimize and lower: %v", err)
 	}
-	text, err := codegen.Generate(mod)
+	res, err := emu.Run(st.Machine, 10_000_000)
 	if err != nil {
-		t.Fatalf("codegen: %v", err)
-	}
-	prog, err := asm.Assemble(text)
-	if err != nil {
-		t.Fatalf("assemble: %v\n%s", err, text)
-	}
-	res, err := emu.Run(prog, 10_000_000)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, text)
+		t.Fatalf("run: %v\n%s", err, st.Asm)
 	}
 	return res
 }

@@ -148,7 +148,7 @@ func chromeFromEvent(prog *isa.Program, ev *pipeline.Event) (chromeEvent, bool) 
 		}
 		return chromeEvent{Name: n, Cat: "access", Ph: "i", Ts: ev.Cycle,
 			Pid: pidMemory, Tid: levelTid(ev.Level), S: "t",
-			Args: map[string]any{"addr": ev.Addr, "spec": ev.Spec}}, true
+			Args: map[string]any{"addr": ev.Addr, "pc": ev.PC, "spec": ev.Spec}}, true
 	case pipeline.EvCacheMiss:
 		dur := ev.FillDone - ev.Cycle
 		if dur < 1 {
@@ -156,7 +156,7 @@ func chromeFromEvent(prog *isa.Program, ev *pipeline.Event) (chromeEvent, bool) 
 		}
 		return chromeEvent{Name: "miss fill", Cat: "miss", Ph: "X",
 			Ts: ev.Cycle, Dur: dur, Pid: pidMemory, Tid: levelTid(ev.Level),
-			Args: map[string]any{"addr": ev.Addr, "spec": ev.Spec}}, true
+			Args: map[string]any{"addr": ev.Addr, "pc": ev.PC, "spec": ev.Spec}}, true
 	case pipeline.EvTableTransition:
 		n := fmt.Sprintf("%s->%s", ev.From, ev.To)
 		if ev.Alloc {
@@ -179,7 +179,7 @@ func chromeFromEvent(prog *isa.Program, ev *pipeline.Event) (chromeEvent, bool) 
 	case pipeline.EvRegBind:
 		return chromeEvent{Name: "bind", Cat: "regcache", Ph: "i", Ts: ev.Cycle,
 			Pid: pidPred, Tid: 2, S: "t",
-			Args: map[string]any{"reg": fmt.Sprintf("r%d", ev.Reg), "value": ev.Value}}, true
+			Args: map[string]any{"pc": ev.PC, "reg": fmt.Sprintf("r%d", ev.Reg), "value": ev.Value}}, true
 	case pipeline.EvBranchResolve:
 		n := "not-taken"
 		if ev.Taken {

@@ -14,26 +14,12 @@ package opt
 
 import "elag/internal/ir"
 
-// Options selects which passes run when a legacy-style pipeline is built
-// from flags (see passman.Legacy). The zero value runs everything. The
-// scheduling itself — pass order, the cleanup fixpoint, the
-// fold-after-strength-reduction rule — lives in internal/passman; this
-// package only provides the individual transformations.
-type Options struct {
-	// DisableInline skips function inlining.
-	DisableInline bool
-	// DisableLICM skips loop-invariant code motion.
-	DisableLICM bool
-	// DisableStrengthReduce skips induction-variable strength reduction.
-	DisableStrengthReduce bool
-	// DisableRLE skips redundant load elimination.
-	DisableRLE bool
-	// InlineBudget is the maximum callee size (IR instructions) eligible
-	// for inlining. Default 40.
-	InlineBudget int
-	// Rounds is the maximum number of cleanup iterations. Default 8.
-	Rounds int
-}
+// Options has no fields: the optimizer has no knobs, and a schedule is
+// written down as an internal/passman spec (each optimization level is
+// one). The type remains because the benchmark module's compile-suite
+// still passes an Options{} to passman.Legacy; it goes when that caller
+// does.
+type Options struct{}
 
 // defCounts returns, for each virtual register, how many instructions
 // define it, and a pointer to its unique defining instruction when the

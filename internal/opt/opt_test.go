@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"strings"
 	"testing"
 
 	"elag/internal/ir"
@@ -33,41 +32,28 @@ func cp(d ir.VReg, a ir.Operand) *ir.Instr {
 	return in
 }
 
-// runAll replays the historical full-pipeline schedule over the module
-// using the exported passes. The production scheduler now lives in
-// internal/passman (which this package cannot import); this local copy
-// keeps the whole-pipeline tests in the package that owns the passes.
-func runAll(m *ir.Module, o Options) {
-	if o.InlineBudget == 0 {
-		o.InlineBudget = 40
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 8
-	}
-	if !o.DisableInline {
-		Inline(m, o.InlineBudget)
+// runAll replays the O2 schedule over the module using the exported
+// passes, inlining first when inline is set. The production scheduler
+// lives in internal/passman (which this package cannot import); this local
+// copy keeps the whole-pipeline tests in the package that owns the passes.
+func runAll(m *ir.Module, inline bool) {
+	if inline {
+		Inline(m, 40)
 		PruneDeadFuncs(m)
 	}
 	for _, f := range m.Funcs {
 		f.ComputeCFG()
-		for r := 0; r < o.Rounds; r++ {
+		for r := 0; r < 8; r++ {
 			changed := false
 			changed = ConstProp(f) || changed
 			changed = LocalCSE(f) || changed
 			changed = CopyProp(f) || changed
 			changed = CoalesceCopies(f) || changed
-			if !o.DisableRLE {
-				changed = RedundantLoadElim(f) || changed
-			}
+			changed = RedundantLoadElim(f) || changed
 			changed = DeadCodeElim(f) || changed
-			if !o.DisableLICM {
-				changed = LICM(f) || changed
-			}
-			srChanged := false
-			if !o.DisableStrengthReduce {
-				srChanged = StrengthReduce(f)
-				changed = srChanged || changed
-			}
+			changed = LICM(f) || changed
+			srChanged := StrengthReduce(f)
+			changed = srChanged || changed
 			if !srChanged {
 				changed = FoldAddressing(f) || changed
 			}
@@ -76,7 +62,7 @@ func runAll(m *ir.Module, o Options) {
 				break
 			}
 		}
-		if MaterializeSyms(f) && !o.DisableLICM {
+		if MaterializeSyms(f) {
 			LICM(f)
 			DeadCodeElim(f)
 		}
@@ -362,7 +348,7 @@ func TestStrengthReduceMakesPointerIV(t *testing.T) {
 	exit.Insts = append(exit.Insts, ret)
 	f.ComputeCFG()
 
-	runAll(&ir.Module{Funcs: []*ir.Func{f}}, Options{DisableInline: true})
+	runAll(&ir.Module{Funcs: []*ir.Func{f}}, false)
 
 	// After the full pipeline the load's base register must be defined
 	// by a self-incrementing add (a pointer IV), and the multiply must
@@ -574,7 +560,7 @@ func TestRunIsIdempotentish(t *testing.T) {
 	v := f.NewVReg()
 	oneBlock(f, cp(v, ir.C(1)), bin(ir.OpAdd, f.NewVReg(), ir.R(v), ir.C(2)))
 	m := &ir.Module{Funcs: []*ir.Func{f}}
-	runAll(m, Options{})
+	runAll(m, true)
 	count := func() int {
 		n := 0
 		for _, b := range f.Blocks {
@@ -583,32 +569,9 @@ func TestRunIsIdempotentish(t *testing.T) {
 		return n
 	}
 	before := count()
-	runAll(m, Options{})
+	runAll(m, true)
 	if count() != before {
 		t.Errorf("second Run changed the program: %d -> %d", before, count())
-	}
-}
-
-func TestOptionsDisableFlags(t *testing.T) {
-	// Smoke-test the ablation switches: all-off still terminates and
-	// leaves a valid function.
-	f := ir.NewFunc("main", 0)
-	v := f.NewVReg()
-	oneBlock(f, cp(v, ir.C(1)))
-	m := &ir.Module{Funcs: []*ir.Func{f}}
-	runAll(m, Options{
-		DisableInline:         true,
-		DisableLICM:           true,
-		DisableStrengthReduce: true,
-		DisableRLE:            true,
-	})
-	if len(f.Blocks) == 0 {
-		t.Errorf("function destroyed")
-	}
-	var sb strings.Builder
-	sb.WriteString(f.String())
-	if sb.Len() == 0 {
-		t.Errorf("unprintable function")
 	}
 }
 

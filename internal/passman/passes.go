@@ -2,7 +2,6 @@ package passman
 
 import (
 	"fmt"
-	"sort"
 
 	"elag/internal/asm"
 	"elag/internal/codegen"
@@ -95,20 +94,16 @@ func forAll(fp FuncPass) *Pass {
 	}
 }
 
-// InlinePass returns the module-level inlining pass: expand small callees
-// into their call sites (budget from State.InlineBudget, default 40), then
-// prune functions no call reaches.
+// InlinePass returns the module-level inlining pass: expand callees of at
+// most 40 IR instructions into their call sites, then prune functions no
+// call reaches.
 func InlinePass() *Pass {
 	return &Pass{
 		Name: "inline",
 		Desc: "function inlining plus dead-function pruning",
 		Kind: KindIR,
 		Run: func(st *State) (bool, error) {
-			budget := st.InlineBudget
-			if budget == 0 {
-				budget = 40
-			}
-			changed := opt.Inline(st.Module, budget)
+			changed := opt.Inline(st.Module, 40)
 			changed = opt.PruneDeadFuncs(st.Module) || changed
 			return changed, nil
 		},
@@ -120,7 +115,7 @@ func InlinePass() *Pass {
 // of loops and sweep the dead address arithmetic. No propagation pass may
 // run after it (it would fold the addresses back in), which is why it is a
 // pipeline step rather than a fixpoint member.
-func MatSymPass(withCleanup bool) *Pass {
+func MatSymPass() *Pass {
 	return &Pass{
 		Name: "matsym",
 		Desc: "global-address materialization (+ LICM/DCE cleanup)",
@@ -130,10 +125,8 @@ func MatSymPass(withCleanup bool) *Pass {
 			for _, f := range st.Module.Funcs {
 				if opt.MaterializeSyms(f) {
 					changed = true
-					if withCleanup {
-						opt.LICM(f)
-						opt.DeadCodeElim(f)
-					}
+					opt.LICM(f)
+					opt.DeadCodeElim(f)
 				}
 			}
 			return changed, nil
@@ -166,55 +159,18 @@ func LowerPass() *Pass {
 }
 
 // ClassifyPass returns the paper's Section 4 load classifier as a machine
-// pass; additive selects the literal additive S_load fixpoint policy
-// regardless of State.ClassifyOpts.
-func ClassifyPass(additive bool) *Pass {
-	name := "classify"
-	desc := "Section 4 load classification (kill-aware S_load taint)"
-	if additive {
-		name = "classify-additive"
-		desc = "Section 4 load classification (literal additive S_load fixpoint)"
-	}
+// pass, parameterized by State.ClassifyOpts.
+func ClassifyPass() *Pass {
 	return &Pass{
-		Name: name,
-		Desc: desc,
+		Name: "classify",
+		Desc: "Section 4 load classification",
 		Kind: KindMachine,
 		Run: func(st *State) (bool, error) {
 			if st.Machine == nil {
 				return false, fmt.Errorf("no machine program (missing lower pass?)")
 			}
-			o := st.ClassifyOpts
-			if additive {
-				o.AdditiveSLoad = true
-			}
-			st.Classes = core.ClassifyAndApply(st.Machine, o)
+			st.Classes = core.ClassifyAndApply(st.Machine, st.ClassifyOpts)
 			return st.Classes.StaticTotal() > 0, nil
-		},
-	}
-}
-
-// ProfilePromotePass returns the Section 4.3 profile-guided
-// reclassification as a machine pass: NT loads whose profiled prediction
-// rate exceeds State.ProfileThreshold become PD.
-func ProfilePromotePass() *Pass {
-	return &Pass{
-		Name: "profile-promote",
-		Desc: "Section 4.3 profile-guided NT→PD promotion",
-		Kind: KindMachine,
-		Run: func(st *State) (bool, error) {
-			if st.Machine == nil {
-				return false, fmt.Errorf("no machine program (missing lower pass?)")
-			}
-			if st.ProfileRates == nil {
-				return false, fmt.Errorf("no profile rates on the compilation state")
-			}
-			if st.Classes == nil {
-				st.Classes = core.Classify(st.Machine, st.ClassifyOpts)
-			}
-			before := st.Classes.StaticPD
-			st.Classes = core.Reclassify(st.Classes, st.ProfileRates, st.ProfileThreshold)
-			st.Classes.Apply(st.Machine)
-			return st.Classes.StaticPD != before, nil
 		},
 	}
 }
@@ -226,15 +182,11 @@ func modulePass(name string) (*Pass, bool) {
 	case "inline":
 		return InlinePass(), true
 	case "matsym":
-		return MatSymPass(true), true
+		return MatSymPass(), true
 	case "lower":
 		return LowerPass(), true
 	case "classify":
-		return ClassifyPass(false), true
-	case "classify-additive":
-		return ClassifyPass(true), true
-	case "profile-promote":
-		return ProfilePromotePass(), true
+		return ClassifyPass(), true
 	}
 	if fp, ok := funcPasses[name]; ok {
 		return forAll(fp), true
@@ -242,22 +194,10 @@ func modulePass(name string) (*Pass, bool) {
 	return nil, false
 }
 
-// LookupFunc resolves a per-function pass name (a legal fixpoint member).
-func LookupFunc(name string) (FuncPass, bool) {
-	fp, ok := funcPasses[name]
-	return fp, ok
-}
-
-// Names lists every registered pass name, function-level passes first,
-// each sorted.
+// Names lists every registered pass name: the per-function passes sorted,
+// then the module passes in flow order.
 func Names() []string {
-	var fn, mod []string
-	for n := range funcPasses {
-		fn = append(fn, n)
-	}
-	sort.Strings(fn)
-	mod = []string{"inline", "matsym", "lower", "classify", "classify-additive", "profile-promote"}
-	return append(fn, mod...)
+	return append(funcPassNames(), "inline", "matsym", "lower", "classify")
 }
 
 // Describe returns the one-line description of a registered pass.

@@ -1,22 +1,22 @@
 // Package passman is the compiler's pass manager: it owns the schedule of
 // everything that happens between a lowered IR module and a classified
 // machine program. Passes are registered by name, grouped into fixpoint
-// clusters, assembled into pipelines from an optimization level (-O0/-O1/
-// -O2) or an explicit -passes= spec string, and run under a manager that
-// verifies the IR between passes (ir.Verify) and collects per-pass
-// statistics (instruction counts, rewrite activity, wall time) exportable
-// as an elag-passes/v1 JSON document.
+// clusters, assembled into pipelines from a -passes= spec string (each
+// optimization level, -O0/-O1/-O2, is a named spec), and run under a
+// manager that verifies the IR between passes (ir.Verify) and collects
+// per-pass statistics (instruction counts, rewrite activity, wall time)
+// exportable as an elag-passes/v1 JSON document.
 //
 // The design follows the pass-pipeline shape of LLVM's new pass manager
 // scaled down to this compiler: three pass kinds (IR, lowering, machine)
 // share one State that carries the compilation from module to classified
-// program, so the paper's Section 4 load-classification heuristics and the
-// Section 4.3 profile promotion are ordinary machine passes — swappable
-// policies rather than hardcoded calls.
+// program, so the paper's Section 4 load classification is an ordinary
+// machine pass.
 package passman
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"elag/internal/core"
@@ -68,16 +68,8 @@ type State struct {
 	// Classes is the load classification (set by the classify pass).
 	Classes *core.Classification
 
-	// InlineBudget caps the callee size eligible for inlining
-	// (0 = default 40).
-	InlineBudget int
-	// ClassifyOpts parameterizes the classify passes.
+	// ClassifyOpts parameterizes the classify pass.
 	ClassifyOpts core.Options
-	// ProfileRates provides per-PC address-prediction rates for the
-	// profile-promote pass (nil disables it).
-	ProfileRates map[int]float64
-	// ProfileThreshold is the promotion threshold (0 = the paper's 0.60).
-	ProfileThreshold float64
 }
 
 // NumInsts counts the instructions currently in flight: machine
@@ -140,7 +132,8 @@ func (g *Group) stepName() string { return g.Name }
 // Pipeline is an ordered list of steps.
 type Pipeline []Step
 
-// Names renders the pipeline as a spec-like summary string.
+// Names renders the pipeline as the -passes spec that builds it again,
+// fixpoint iteration bounds included.
 func (pl Pipeline) Names() string {
 	s := ""
 	for i, st := range pl {
@@ -148,7 +141,11 @@ func (pl Pipeline) Names() string {
 			s += ","
 		}
 		if g, ok := st.(*Group); ok {
-			s += "fixpoint("
+			s += "fixpoint"
+			if g.MaxIters > 0 {
+				s += ":" + strconv.Itoa(g.MaxIters)
+			}
+			s += "("
 			for j, m := range g.Members {
 				if j > 0 {
 					s += ","

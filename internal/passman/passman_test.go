@@ -8,7 +8,6 @@ import (
 
 	"elag/internal/ir"
 	"elag/internal/mcc"
-	"elag/internal/opt"
 	"elag/internal/passman"
 )
 
@@ -62,19 +61,21 @@ func TestParseOptLevel(t *testing.T) {
 	}
 }
 
+// TestForLevelShapes pins each level's pipeline: ForLevel parses the
+// level's spec, and a spec that fails to parse panics.
 func TestForLevelShapes(t *testing.T) {
-	o0 := passman.ForLevel(passman.O0, true).Names()
-	if o0 != "lower,classify" {
-		t.Errorf("O0 pipeline = %q", o0)
-	}
-	o1 := passman.ForLevel(passman.O1, true).Names()
-	if strings.Contains(o1, "inline") || strings.Contains(o1, "licm") || strings.Contains(o1, "matsym") {
-		t.Errorf("O1 pipeline contains loop/inline passes: %q", o1)
-	}
-	o2 := passman.ForLevel(passman.O2, true).Names()
-	for _, want := range []string{"inline", "licm", "iv", "matsym", "lower", "classify"} {
-		if !strings.Contains(o2, want) {
-			t.Errorf("O2 pipeline missing %s: %q", want, o2)
+	o2 := "inline,fixpoint(constprop,cse,copyprop,coalesce,rle,dce,licm,iv,dce),matsym,lower,classify"
+	for _, tc := range []struct {
+		level passman.OptLevel
+		want  string
+	}{
+		{passman.ODefault, o2},
+		{passman.O0, "lower,classify"},
+		{passman.O1, "fixpoint(constprop,cse,copyprop,coalesce,dce),lower,classify"},
+		{passman.O2, o2},
+	} {
+		if got := passman.ForLevel(tc.level, true).Names(); got != tc.want {
+			t.Errorf("%v pipeline = %q, want %q", tc.level, got, tc.want)
 		}
 	}
 	noClassify := passman.ForLevel(passman.O2, false).Names()
@@ -83,33 +84,18 @@ func TestForLevelShapes(t *testing.T) {
 	}
 }
 
-func TestLegacyHonorsDisables(t *testing.T) {
-	pl := passman.Legacy(opt.Options{
-		DisableInline: true, DisableLICM: true,
-		DisableStrengthReduce: true, DisableRLE: true,
-	}, true).Names()
-	for _, banned := range []string{"inline", "licm", "rle", "iv"} {
-		if strings.Contains(pl, banned) {
-			t.Errorf("disabled pass %s still scheduled: %q", banned, pl)
-		}
-	}
-	// The legacy schedule folds addressing modes every round when
-	// strength reduction is off.
-	if !strings.Contains(pl, "fold") {
-		t.Errorf("fold member missing from SR-disabled schedule: %q", pl)
-	}
+// goodSpecs are valid -passes specs with the pipelines they render to.
+var goodSpecs = []struct{ spec, want string }{
+	{"lower", "lower,classify"},
+	{"dce", "dce,lower,classify"},
+	{"fixpoint(constprop,dce)", "fixpoint(constprop,dce),lower,classify"},
+	{"fixpoint:3(constprop,dce),matsym", "fixpoint:3(constprop,dce),matsym,lower,classify"},
+	{"inline,lower,classify", "inline,lower,classify"},
+	{"fixpoint:1(iv),fixpoint(cse),lower", "fixpoint:1(iv),fixpoint(cse),lower,classify"},
 }
 
 func TestParseSpecs(t *testing.T) {
-	good := []struct{ spec, want string }{
-		{"lower", "lower,classify"},
-		{"dce", "dce,lower,classify"},
-		{"fixpoint(constprop,dce)", "fixpoint(constprop,dce),lower,classify"},
-		{"fixpoint:3(constprop,dce),matsym", "fixpoint(constprop,dce),matsym,lower,classify"},
-		{"inline,lower,classify-additive", "inline,lower,classify-additive"},
-		{"lower,classify,profile-promote", "lower,classify,profile-promote"},
-	}
-	for _, tc := range good {
+	for _, tc := range goodSpecs {
 		pl, err := passman.Parse(tc.spec, true)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", tc.spec, err)
@@ -130,6 +116,7 @@ func TestParseSpecs(t *testing.T) {
 		"fixpoint()",          // empty group
 		"lower,fixpoint(dce)", // group after lower
 		"dce,,lower",          // empty step
+		"fixpoint(fold)",      // addressing-mode folding runs inside iv
 	}
 	for _, spec := range bad {
 		if _, err := passman.Parse(spec, true); err == nil {
@@ -240,30 +227,55 @@ func TestManagerVerifyCatchesBrokenPass(t *testing.T) {
 	}
 }
 
-func TestOptimizeIsIdempotent(t *testing.T) {
-	m := compile(t, tinyProg)
-	if err := passman.Optimize(m, opt.Options{}); err != nil {
-		t.Fatal(err)
+// TestNamesRoundTrip: a pipeline's Names() is a spec that builds the same
+// pipeline again, fixpoint iteration bounds included.
+func TestNamesRoundTrip(t *testing.T) {
+	var pls []passman.Pipeline
+	for _, l := range []passman.OptLevel{passman.ODefault, passman.O0, passman.O1, passman.O2} {
+		pls = append(pls, passman.ForLevel(l, true), passman.ForLevel(l, false))
 	}
-	before := countInsts(m)
-	if err := passman.Optimize(m, opt.Options{}); err != nil {
-		t.Fatal(err)
+	for _, tc := range goodSpecs {
+		pl, err := passman.Parse(tc.spec, true)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.spec, err)
+		}
+		pls = append(pls, pl)
 	}
-	if got := countInsts(m); got != before {
-		t.Errorf("second Optimize changed the program: %d -> %d insts", before, got)
+	for _, pl := range pls {
+		spec := pl.Names()
+		again, err := passman.Parse(spec, false)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+			continue
+		}
+		if again.Names() != spec {
+			t.Errorf("Parse(%q).Names() = %q", spec, again.Names())
+			continue
+		}
+		for i, st := range pl {
+			if g, ok := st.(*passman.Group); ok && g.MaxIters != again[i].(*passman.Group).MaxIters {
+				t.Errorf("%q: group %d bound %d, reparsed %d", spec, i, g.MaxIters, again[i].(*passman.Group).MaxIters)
+			}
+		}
 	}
 }
 
-func TestOptimizeAllDisablesTerminates(t *testing.T) {
+// TestOptimizeIsIdempotent: the O2 schedule leaves a module it already
+// optimized unchanged.
+func TestOptimizeIsIdempotent(t *testing.T) {
 	m := compile(t, tinyProg)
-	if err := passman.Optimize(m, opt.Options{
-		DisableInline: true, DisableLICM: true,
-		DisableStrengthReduce: true, DisableRLE: true,
-	}); err != nil {
+	o2 := passman.ForLevel(passman.O2, false)
+	irSteps := o2[:len(o2)-1] // everything before lower
+	mgr := passman.Manager{Verify: true}
+	if err := mgr.Run(irSteps, &passman.State{Module: m}); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Funcs) == 0 || len(m.Funcs[0].Blocks) == 0 {
-		t.Errorf("module destroyed")
+	before := countInsts(m)
+	if err := mgr.Run(irSteps, &passman.State{Module: m}); err != nil {
+		t.Fatal(err)
+	}
+	if got := countInsts(m); got != before {
+		t.Errorf("second O2 run changed the program: %d -> %d insts", before, got)
 	}
 }
 
@@ -280,11 +292,5 @@ func TestNamesAndDescribe(t *testing.T) {
 			!strings.Contains(err.Error(), "before lower") {
 			t.Errorf("registered pass %s does not parse: %v", n, err)
 		}
-	}
-	if _, ok := passman.LookupFunc("dce"); !ok {
-		t.Errorf("dce not resolvable as a function pass")
-	}
-	if _, ok := passman.LookupFunc("lower"); ok {
-		t.Errorf("lower resolved as a function pass")
 	}
 }

@@ -2,10 +2,10 @@ package passman
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
-	"elag/internal/ir"
 	"elag/internal/opt"
 )
 
@@ -51,112 +51,40 @@ func (l OptLevel) String() string {
 	return "O2"
 }
 
-// cleanupGroup builds the fixpoint cluster from registered member names.
-func cleanupGroup(maxIters int, names ...string) *Group {
-	g := &Group{Name: "cleanup", MaxIters: maxIters}
-	for _, n := range names {
-		fp, ok := funcPasses[n]
-		if !ok {
-			panic("passman: unknown fixpoint member " + n)
-		}
-		g.Members = append(g.Members, fp)
-	}
-	return g
-}
-
-// o2Members is the full cleanup schedule, in the order the paper's
-// prerequisite-pass list is applied; dce runs twice per iteration (once
-// mid-schedule to shrink the work the loop passes see, once at the end to
-// sweep what they leave).
-var o2Members = []string{
-	"constprop", "cse", "copyprop", "coalesce", "rle", "dce", "licm", "iv", "dce",
-}
-
-// o1Members is the straight-line subset: no inlining, loops or memory.
-var o1Members = []string{"constprop", "cse", "copyprop", "coalesce", "dce"}
-
-// ForLevel builds the pipeline for an optimization level. classify appends
-// the Section 4 classifier after lowering (additive selects the literal
-// S_load policy).
-func ForLevel(level OptLevel, classify bool) Pipeline {
-	var pl Pipeline
-	switch level {
+// levelSpec writes the level's pipeline down as a -passes spec (see
+// Parse); ODefault means O2.
+func (l OptLevel) levelSpec() string {
+	switch l {
 	case O0:
+		return ""
 	case O1:
-		pl = append(pl, cleanupGroup(0, o1Members...))
-	default: // O2, ODefault
-		pl = append(pl, InlinePass(), cleanupGroup(0, o2Members...), MatSymPass(true))
+		// The straight-line subset of O2's fixpoint: no inlining, loop
+		// or memory passes.
+		return "fixpoint(constprop,cse,copyprop,coalesce,dce)"
 	}
-	pl = append(pl, LowerPass())
-	if classify {
-		pl = append(pl, ClassifyPass(false))
+	// The full cleanup schedule, in the order the paper's prerequisite-pass
+	// list is applied. dce runs twice per iteration: once mid-schedule to
+	// shrink the work the loop passes see, once at the end to sweep what
+	// they leave.
+	return "inline,fixpoint(constprop,cse,copyprop,coalesce,rle,dce,licm,iv,dce),matsym"
+}
+
+// ForLevel builds the pipeline for an optimization level by parsing the
+// level's spec, so a level build reports the spec that reproduces it.
+// classify appends the Section 4 classifier after lowering.
+func ForLevel(level OptLevel, classify bool) Pipeline {
+	pl, err := Parse(level.levelSpec(), classify)
+	if err != nil {
+		panic("passman: " + level.String() + " spec does not parse: " + err.Error())
 	}
 	return pl
 }
 
-// Legacy builds the pipeline equivalent to the pre-pass-manager opt.Run
-// schedule under the given options: the O2 pipeline with the disabled
-// passes removed and the iteration bound overridden. It exists so that the
-// BuildOptions.Opt knobs (and elag-cc -no-opt) keep their exact historical
-// meaning.
-func Legacy(o opt.Options, classify bool) Pipeline {
-	pl := LegacyIR(o)
-	pl = append(pl, LowerPass())
-	if classify {
-		pl = append(pl, ClassifyPass(false))
-	}
-	return pl
-}
-
-// LegacyIR is the IR-only prefix of Legacy: the optimization schedule
-// without lowering or classification. Useful for tools and tests that
-// operate on the module form.
-func LegacyIR(o opt.Options) Pipeline {
-	members := []string{"constprop", "cse", "copyprop", "coalesce"}
-	if !o.DisableRLE {
-		members = append(members, "rle")
-	}
-	members = append(members, "dce")
-	if !o.DisableLICM {
-		members = append(members, "licm")
-	}
-	if !o.DisableStrengthReduce {
-		members = append(members, "iv")
-	} else {
-		// The legacy schedule still folded addressing modes each round
-		// when strength reduction was disabled.
-		members = append(members, "fold")
-	}
-	members = append(members, "dce")
-
-	g := &Group{Name: "cleanup", MaxIters: o.Rounds}
-	for _, n := range members {
-		if n == "fold" {
-			g.Members = append(g.Members, FuncPass{
-				Name: "fold",
-				Desc: "addressing-mode folding",
-				Run:  wrapBool(opt.FoldAddressing),
-			})
-			continue
-		}
-		g.Members = append(g.Members, funcPasses[n])
-	}
-
-	var pl Pipeline
-	if !o.DisableInline {
-		pl = append(pl, InlinePass())
-	}
-	pl = append(pl, g, MatSymPass(!o.DisableLICM))
-	return pl
-}
-
-// Optimize runs the legacy IR optimization schedule over a module in place,
-// verifying the IR between passes. It is the module-level replacement for
-// the old opt.Run entry point.
-func Optimize(m *ir.Module, o opt.Options) error {
-	mgr := Manager{Verify: true}
-	return mgr.Run(LegacyIR(o), &State{Module: m})
-}
+// Legacy returns the O2 pipeline; it ignores its Options, which has no
+// fields. It remains because the benchmark module's compile-suite still
+// builds through Legacy(opt.Options{}, true) and changes only with the
+// benchmark.
+func Legacy(_ opt.Options, classify bool) Pipeline { return ForLevel(O2, classify) }
 
 // Parse builds a pipeline from a -passes= spec string. Grammar:
 //
@@ -164,12 +92,11 @@ func Optimize(m *ir.Module, o opt.Options) error {
 //	step  := name | "fixpoint" [":" iters] "(" name ("," name)* ")"
 //
 // Names resolve against the registry (see Names). Fixpoint members must be
-// per-function IR passes. IR steps must precede "lower"; machine steps
-// (classify, classify-additive, profile-promote) must follow it. If the
-// spec names no "lower", one is appended after the IR steps; if classify is
-// set and the spec names no classifier, "classify" is appended too — so a
-// spec can describe just the optimization schedule and inherit the rest of
-// the flow.
+// per-function IR passes. IR steps must precede "lower"; the machine step
+// "classify" must follow it. If the spec names no "lower", one is appended
+// after the IR steps; if classify is set and the spec names no "classify",
+// one is appended too — so a spec can describe just the optimization
+// schedule and inherit the rest of the flow.
 func Parse(spec string, classify bool) (Pipeline, error) {
 	var pl Pipeline
 	sawLower := false
@@ -210,9 +137,7 @@ func Parse(spec string, classify bool) (Pipeline, error) {
 				if !sawLower {
 					return nil, fmt.Errorf("passes spec: machine pass %q before lower", s)
 				}
-				if s == "classify" || s == "classify-additive" {
-					sawClassifier = true
-				}
+				sawClassifier = true // classify is the only machine pass
 			}
 			pl = append(pl, p)
 		}
@@ -221,7 +146,7 @@ func Parse(spec string, classify bool) (Pipeline, error) {
 		pl = append(pl, LowerPass())
 	}
 	if classify && !sawClassifier {
-		pl = append(pl, ClassifyPass(false))
+		pl = append(pl, ClassifyPass())
 	}
 	return pl, nil
 }
@@ -295,7 +220,13 @@ func parseFixpoint(s string) (*Group, error) {
 	return g, nil
 }
 
+// funcPassNames lists the per-function passes (the legal fixpoint
+// members), sorted.
 func funcPassNames() []string {
-	names := Names()
-	return names[:len(names)-6]
+	names := make([]string, 0, len(funcPasses))
+	for n := range funcPasses {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -89,7 +89,8 @@ const (
 	// cycle).
 	EvSpecFail
 	// EvRegBind: an addressing register was (re)bound (Reg, Value) by the
-	// load's decode; Cycle is its ID2 cycle.
+	// load's decode; Cycle is e−1, the last decode cycle before the issue
+	// cycle e the early path was timed against, where it reads R_addr.
 	EvRegBind
 	// EvTableTransition: the prediction-table entry for PC stepped its
 	// state machine (From/To states, Correct, Alloc) in MEM.
@@ -214,15 +215,15 @@ func (s *Sim) emit(ev Event) {
 	s.sink.Event(&s.ev)
 }
 
-// emitDAccess reports one D-cache access at cycle and, for a fresh miss,
-// the fill that completes at ready; callers must have checked s.sink !=
-// nil.
-func (s *Sim) emitDAccess(addr, cycle, ready int64, tagHit, miss, spec bool) {
+// emitDAccess reports one D-cache access by the instruction at pc at cycle
+// and, for a fresh miss, the fill that completes at ready; callers must
+// have checked s.sink != nil.
+func (s *Sim) emitDAccess(pc int, addr, cycle, ready int64, tagHit, miss, spec bool) {
 	sq := s.m.Insts - 1
-	s.emit(Event{Kind: EvCacheAccess, Seq: sq, Cycle: cycle, Level: 'D',
+	s.emit(Event{Kind: EvCacheAccess, Seq: sq, PC: pc, Cycle: cycle, Level: 'D',
 		Addr: addr, Hit: tagHit, Spec: spec})
 	if miss {
-		s.emit(Event{Kind: EvCacheMiss, Seq: sq, Cycle: cycle, Level: 'D',
+		s.emit(Event{Kind: EvCacheMiss, Seq: sq, PC: pc, Cycle: cycle, Level: 'D',
 			Addr: addr, FillDone: ready, Spec: spec})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"elag/internal/asm/asmtest"
 	"elag/internal/emu"
+	"elag/internal/isa"
 	"elag/internal/mech"
 )
 
@@ -291,6 +292,99 @@ func TestSpecAccessAtLaunchCycle(t *testing.T) {
 			}
 			if bad > 5 {
 				t.Errorf("%d of %d speculative D-cache events off their launch cycle", bad, len(sink.access))
+			}
+		})
+	}
+}
+
+// pcSink keeps every EvRetire by Seq, the structural (issue-width and FU)
+// stall bubbles by Seq, and every cache and bind event.
+type pcSink struct {
+	retire     map[int64]Event
+	structural map[int64]int64
+	events     []Event
+}
+
+func (c *pcSink) Event(ev *Event) {
+	switch ev.Kind {
+	case EvRetire:
+		c.retire[ev.Seq] = *ev
+	case EvStall:
+		if ev.Cause != StallOperand {
+			c.structural[ev.Seq] += ev.Cycles
+		}
+	case EvCacheAccess, EvCacheMiss, EvRegBind:
+		c.events = append(c.events, *ev)
+	}
+}
+
+// bindStallBody packs its ld8_e seventh into the issue group behind the
+// divide's consumer, with three ALU operations ahead of it, so the load
+// takes an issue-width stall after its early path is timed.
+const bindStallBody = `
+	div r1, r9, 3
+	add r2, r1, 1
+	add r3, r9, 1
+	add r4, r9, 2
+	ld8_n r5, r20(0)
+	ld8_n r6, r20(8)
+	ld8_n r7, r20(16)
+	ld8_e r8, r21(0)
+`
+
+// TestCacheAndBindEventsCarryPC: under every machine and assist, each
+// EvCacheAccess, EvCacheMiss and EvRegBind carries the PC of the same-Seq
+// EvRetire, and each EvRegBind is stamped where the early path reads
+// R_addr (DESIGN §5b rules 3 and 10): one cycle before that retire's Issue,
+// less the structural stall a full issue group adds after the early path
+// is timed.
+func TestCacheAndBindEventsCarryPC(t *testing.T) {
+	var traces []*emu.Trace
+	var progs []*isa.Program
+	for _, body := range []string{obsProgBody, bindStallBody} {
+		p := asmtest.MustAssemble(t, loopOf(3000, body))
+		_, trace, err := emu.RunTrace(p, 10_000_000)
+		if err != nil {
+			t.Fatalf("trace: %v", err)
+		}
+		traces, progs = append(traces, trace), append(progs, p)
+	}
+	for _, ec := range eventConfigs() {
+		t.Run(ec.name, func(t *testing.T) {
+			bad, binds, stalledBinds := 0, 0, 0
+			for i, trace := range traces {
+				sink := &pcSink{retire: map[int64]Event{}, structural: map[int64]int64{}}
+				s := mustSim(t, ec.cfg, progs[i])
+				s.AttachSink(sink)
+				if _, err := s.Run(trace); err != nil {
+					t.Fatal(err)
+				}
+				if len(sink.events) == 0 {
+					t.Fatal("no cache or bind events")
+				}
+				for _, ev := range sink.events {
+					r, ok := sink.retire[ev.Seq]
+					wantCycle := ev.Cycle
+					if ev.Kind == EvRegBind {
+						binds++
+						if sink.structural[ev.Seq] > 0 {
+							stalledBinds++
+						}
+						wantCycle = r.Issue - 1 - sink.structural[ev.Seq]
+					}
+					if !ok || ev.PC != r.PC || ev.Cycle != wantCycle {
+						if bad++; bad <= 5 {
+							t.Errorf("seq %d: %v at pc %d cycle %d; retire pc %d issue %d (found %v)",
+								ev.Seq, ev.Kind, ev.PC, ev.Cycle, r.PC, r.Issue, ok)
+						}
+					}
+				}
+			}
+			if bad > 5 {
+				t.Errorf("%d cache and bind events off their instruction", bad)
+			}
+			if sel := ec.cfg.Select; (sel == SelCompiler || sel == SelAllEarly || sel == SelHWDual) && stalledBinds == 0 {
+				t.Errorf("%d R_addr bind events, none after a structural stall", binds)
 			}
 		})
 	}

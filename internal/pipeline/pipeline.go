@@ -437,7 +437,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 	} else {
 		ready, _, _, miss := s.ic.access(iaddr, f, false, true)
 		if miss && s.sink != nil {
-			s.emit(Event{Kind: EvCacheMiss, Seq: s.m.Insts - 1, Cycle: f,
+			s.emit(Event{Kind: EvCacheMiss, Seq: s.m.Insts - 1, PC: te.PC, Cycle: f,
 				Level: 'I', Addr: iaddr, FillDone: ready})
 		}
 		s.icLastBlock, s.icLastCycle, s.icLastReady = iblock, f, ready
@@ -578,7 +578,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 			m := s.memPort(e + 1)
 			dataEnd, _, tagHit, miss := s.dc.access(te.EA, m, false, true)
 			if s.sink != nil {
-				s.emitDAccess(te.EA, m, dataEnd, tagHit, miss, false)
+				s.emitDAccess(te.PC, te.EA, m, dataEnd, tagHit, miss, false)
 			}
 			ready = dataEnd + 1
 			done = dataEnd + 1
@@ -612,7 +612,7 @@ func (s *Sim) StepInst(te *emu.TraceEntry) error {
 		m := s.memPort(e + 1)
 		ready, _, tagHit, miss := s.dc.access(te.EA, m, false, false) // write-through, no allocate
 		if s.sink != nil {
-			s.emitDAccess(te.EA, m, ready, tagHit, miss, false)
+			s.emitDAccess(te.PC, te.EA, m, ready, tagHit, miss, false)
 		}
 		done = m + 1
 		s.recordStore(e, m, te.EA, int64(in.Width))
@@ -804,12 +804,12 @@ func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, e in
 		case isa.LdP:
 			return s.probeTable(in, te, e)
 		case isa.LdE:
-			return s.specEarly(in, te, d1, e)
+			return s.specEarly(in, te, e)
 		}
 	case SelAllPredict:
 		return s.probeTable(in, te, e)
 	case SelAllEarly:
-		return s.specEarly(in, te, d1, e)
+		return s.specEarly(in, te, e)
 	case SelHWDual:
 		// Eickemeyer-Vassiliadis run-time selection: interlocked base
 		// register at decode -> prediction table; otherwise early
@@ -818,7 +818,7 @@ func (s *Sim) speculate(in *isa.Inst, md *instMeta, te *emu.TraceEntry, d1, e in
 		if interlocked {
 			return s.probeTable(in, te, e)
 		}
-		return s.specEarly(in, te, d1, e)
+		return s.specEarly(in, te, e)
 	}
 	return noSpec
 }
@@ -887,7 +887,7 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e, predAddr int64, o
 	r.specAddr = predAddr
 	ready, hit, tagHit, miss := s.dc.access(predAddr, specCycle, true, true)
 	if s.sink != nil {
-		s.emitDAccess(predAddr, specCycle, ready, tagHit, miss, true)
+		s.emitDAccess(te.PC, predAddr, specCycle, ready, tagHit, miss, true)
 	}
 	correct := predAddr == te.EA
 	milk := s.memInterlock(te.EA, int64(in.Width), specCycle)
@@ -937,8 +937,9 @@ func (s *Sim) specPredict(in *isa.Inst, te *emu.TraceEntry, e, predAddr int64, o
 // The compiler-directed R_addr (bound by the ld_e itself) and the
 // hardware-only allocate-on-use policy both bind after the lookup, so a
 // load that just switched the binding does not hit; the bind is reported at
-// ID2 (d1+1). Without a register cache the load does not speculate.
-func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, e int64) specResult {
+// e-1, where the lookup reads R_addr. Without a register cache the load
+// does not speculate.
+func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, e int64) specResult {
 	if s.regcache == nil {
 		return noSpec
 	}
@@ -964,7 +965,7 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, e int64) specResul
 		// term) in place of the paper's broadcast (DESIGN §5b rule 10).
 		s.regcache.Bind(in.Base, te.BaseVal)
 		if s.sink != nil {
-			s.emit(Event{Kind: EvRegBind, Seq: s.m.Insts - 1, Cycle: d1 + 1,
+			s.emit(Event{Kind: EvRegBind, Seq: s.m.Insts - 1, PC: te.PC, Cycle: e - 1,
 				Reg: in.Base, Value: te.BaseVal})
 		}
 		if !hit {
@@ -994,7 +995,7 @@ func (s *Sim) specEarly(in *isa.Inst, te *emu.TraceEntry, d1, e int64) specResul
 	// architectural effective address.
 	dataEnd, chit, tagHit, miss := s.dc.access(te.EA, specCycle, true, true)
 	if s.sink != nil {
-		s.emitDAccess(te.EA, specCycle, dataEnd, tagHit, miss, true)
+		s.emitDAccess(te.PC, te.EA, specCycle, dataEnd, tagHit, miss, true)
 	}
 	milk := s.memInterlock(te.EA, int64(in.Width), specCycle)
 	if milk {

@@ -11,18 +11,16 @@ import (
 // consumer can detect drops (buffered subscribers are never blocked on —
 // a slow reader loses frames, counted in Progress.Dropped).
 type Frame struct {
-	Type   string  `json:"type"`            // chunk | config | bench | state | heartbeat | done
-	Job    string  `json:"job,omitempty"`   // job ID
-	Seq    int64   `json:"seq"`             // per-job publish sequence
-	State  string  `json:"state,omitempty"` // job state for state/done frames
-	Error  string  `json:"error,omitempty"` // terminal error, done frames only
-	Insts  int64   `json:"insts,omitempty"` // instructions replayed so far (chunk frames)
-	Fuel   int64   `json:"fuel,omitempty"`  // fuel budget for the run (chunk frames)
-	Config string  `json:"config,omitempty"`
-	Bench  string  `json:"bench,omitempty"`
-	Done   int     `json:"done,omitempty"`  // grid cells completed (config frames)
-	Total  int     `json:"total,omitempty"` // grid cell total (config frames)
-	Wall   float64 `json:"wall_seconds,omitempty"`
+	Type  string `json:"type"`            // chunk | bench | state | heartbeat | done
+	Job   string `json:"job,omitempty"`   // job ID
+	Seq   int64  `json:"seq"`             // per-job publish sequence
+	State string `json:"state,omitempty"` // job state for state/done frames
+	Error string `json:"error,omitempty"` // terminal error, done frames only
+	Insts int64  `json:"insts,omitempty"` // instructions replayed so far (chunk frames)
+	Fuel  int64  `json:"fuel,omitempty"`  // fuel budget for the run (chunk frames)
+	Bench string `json:"bench,omitempty"`
+	Done  int    `json:"done,omitempty"`  // grid cells completed (bench frames)
+	Total int    `json:"total,omitempty"` // grid cell total (bench frames)
 }
 
 // Progress broadcasts Frames to any number of subscribers. It follows the
@@ -65,10 +63,6 @@ func (p *Progress) Publish(f Frame) {
 	}
 	p.mu.Unlock()
 }
-
-// Active reports whether anyone is subscribed — emission sites can use it
-// to skip building expensive frame payloads.
-func (p *Progress) Active() bool { return p.nsubs.Load() > 0 }
 
 // Subscribe registers a buffered subscriber channel and returns it with a
 // cancel function. The channel is closed when cancel is called or when the

@@ -63,8 +63,8 @@ func TestProgressCancelIdempotent(t *testing.T) {
 	_, cancel := p.Subscribe(1)
 	cancel()
 	cancel()
-	if p.Active() {
-		t.Error("Active after cancel")
+	if n := p.nsubs.Load(); n != 0 {
+		t.Errorf("%d subscribers after cancel", n)
 	}
 	p.Publish(Frame{Type: "chunk"}) // no subscribers: fast path
 }
