@@ -24,12 +24,11 @@
 //	-chunk N      stream traces in N-entry chunks (0 = the default size;
 //	              peak trace memory O(N) per worker; artifacts are
 //	              byte-identical at every setting)
-//	-cache-dir d  reuse per-row grid results from a content-addressed store
-//	              (default $ELAG_CACHE_DIR; the same store elag-serve and
-//	              elag-sim share, so a prior run — any tool's — skips rows)
-//	-nocache      ignore -cache-dir / $ELAG_CACHE_DIR
 //	-cpuprofile f write a CPU profile
 //	-memprofile f write a heap profile at exit
+//
+// elag-bench keeps no result cache: every run computes its grids.
+// elag-serve caches a grid job's whole result, per job.
 //
 // Performance is tracked by the repository benchmark in bench/ (see
 // bench/README.md), not by this tool.
@@ -57,8 +56,7 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	csvDir := flag.String("csv", "", "write a CSV for each artifact -exp selects into this directory")
 	jsonPath := flag.String("json", "", `write the -exp artifacts as one JSON document to this file ("-" = stdout)`)
-	cacheOpts := cli.CacheFlags()
-	perf := cli.PerfFlags()
+	perf := cli.PerfFlags(true)
 	flag.Parse()
 
 	sel, err := harness.SelectExperiments(*exp)
@@ -77,8 +75,7 @@ func main() {
 		logw = nil
 	}
 	r := &harness.Runner{Fuel: *fuel, Log: logw, Parallel: perf.Parallel,
-		ChunkSize: perf.Chunk,
-		Artifacts: cacheOpts.Open("elag-bench")}
+		ChunkSize: perf.Chunk}
 
 	if *jsonPath != "" {
 		doc, err := r.DocumentExp(ctx, *exp)

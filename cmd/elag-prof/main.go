@@ -30,7 +30,7 @@ func main() {
 	fuel := flag.Int64("fuel", 0, "dynamic instruction budget (0 = the 200M default)")
 	threshold := flag.Float64("threshold", 0.60, "NT->PD promotion threshold")
 	all := flag.Bool("all", false, "list every load")
-	perf := cli.PerfFlags()
+	perf := cli.PerfFlags(false)
 	flag.Parse()
 	perf.Start("elag-prof")
 	defer perf.Stop()

@@ -63,7 +63,7 @@ func main() {
 	pipeview := flag.Int("pipeview", 0, "render the first N instructions' pipeline stages")
 	all := flag.Bool("all", false, "compare every configuration")
 	cacheOpts := cli.CacheFlags()
-	perf := cli.PerfFlags()
+	perf := cli.PerfFlags(true)
 	flag.Parse()
 
 	if *helpMechs {

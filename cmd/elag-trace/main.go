@@ -47,7 +47,7 @@ func main() {
 	limit := flag.Int("limit", 1_000_000, "max recorded events (0 = unlimited)")
 	outDir := flag.String("o", "trace-out", "output directory")
 	top := flag.Int("top", 10, "worst-loads report length")
-	perf := cli.PerfFlags()
+	perf := cli.PerfFlags(true)
 	flag.Parse()
 	perf.Start("elag-trace")
 	defer perf.Stop()

@@ -7,11 +7,11 @@ import (
 	"elag/internal/artifact"
 )
 
-// CacheOpts is the parsed result-cache configuration shared by the CLI
-// tools. The tools key artifacts exactly the way elag-serve does
-// (serve.ResultKey / the harness row keys), so pointing -cache-dir at
-// the daemon's store directory makes CLI runs and server jobs
-// interchangeable: either side's cold run is the other side's warm one.
+// CacheOpts is elag-sim's parsed result-cache configuration. elag-sim
+// keys its simulate results exactly the way elag-serve does
+// (serve.ResultKey), so pointing -cache-dir at the daemon's store
+// directory makes CLI runs and server simulate jobs interchangeable:
+// either side's cold run is the other side's warm one.
 type CacheOpts struct {
 	// Dir is the on-disk store root ("" = caching off for CLI tools,
 	// which have no useful in-memory tier across processes).

@@ -15,12 +15,13 @@ import (
 )
 
 // Perf is the performance flag set shared by the elag tools: -parallel
-// (worker/GOMAXPROCS parallelism), -chunk (streaming trace chunk size),
-// -timeout (a wall-clock deadline for the whole run), -cpuprofile and
-// -memprofile (pprof output). Register with PerfFlags before flag.Parse,
-// bracket main's work with Start/Stop, and pass Context() into the work so
-// the deadline — and Ctrl-C / SIGTERM — interrupt long grids cleanly
-// instead of leaving the process killable only by signal.
+// (worker/GOMAXPROCS parallelism), -timeout (a wall-clock deadline for the
+// whole run), -cpuprofile and -memprofile (pprof output), and, for the
+// tools that replay a streamed trace, -chunk (its chunk size). Register
+// with PerfFlags before flag.Parse, bracket main's work with Start/Stop,
+// and pass Context() into the work so the deadline — and Ctrl-C /
+// SIGTERM — interrupt long grids cleanly instead of leaving the process
+// killable only by signal.
 type Perf struct {
 	// Parallel is the requested parallelism: the worker-pool size for
 	// grid experiments and the GOMAXPROCS setting for the process, which
@@ -29,13 +30,15 @@ type Perf struct {
 	// Chunk is the streaming trace chunk size in entries; 0 means the
 	// default size. The architectural execution always streams in
 	// recycled chunks (peak trace memory O(Chunk), any fuel budget fits in
-	// memory). Results are bit-identical at every setting.
+	// memory). Results are bit-identical at every setting. It stays 0
+	// unless PerfFlags registered -chunk.
 	Chunk int
 	// Timeout, when > 0, bounds the whole run's wall time: Context()
 	// carries the deadline, and every simulation/grid entry point checks
 	// it between trace chunks.
 	Timeout time.Duration
 
+	chunked    bool // -chunk is registered
 	cpuprofile string
 	memprofile string
 	tool       string
@@ -50,13 +53,17 @@ type Perf struct {
 	peakHeap   uint64
 }
 
-// PerfFlags registers the shared performance flags on the default flag set.
-func PerfFlags() *Perf {
-	p := &Perf{}
+// PerfFlags registers the shared performance flags on the default flag
+// set. chunked also registers -chunk, for the tools that pass it to a
+// replay (elag-sim, elag-bench, elag-trace).
+func PerfFlags(chunked bool) *Perf {
+	p := &Perf{chunked: chunked}
 	flag.IntVar(&p.Parallel, "parallel", runtime.GOMAXPROCS(0),
 		"parallelism: sets GOMAXPROCS, which bounds both the grid worker pool and each batch's replay lanes (results are identical at any value)")
-	flag.IntVar(&p.Chunk, "chunk", 0,
-		"stream traces in chunks of this many entries (0 = the default size; results identical)")
+	if chunked {
+		flag.IntVar(&p.Chunk, "chunk", 0,
+			"stream traces in chunks of this many entries (0 = the default size; results identical)")
+	}
 	flag.DurationVar(&p.Timeout, "timeout", 0,
 		"wall-clock deadline for the run (e.g. 30s, 5m; 0 = none)")
 	flag.StringVar(&p.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -183,6 +190,10 @@ func (p *Perf) Stop() {
 		}
 		fmt.Fprintf(os.Stderr, "%s: heap profile written to %s\n", p.tool, p.memprofile)
 	}
-	fmt.Fprintf(os.Stderr, "%s: wall time %.3fs, peak heap %.1f MB (parallel=%d chunk=%d)\n",
-		p.tool, time.Since(p.start).Seconds(), float64(peak)/(1<<20), p.Parallel, p.Chunk)
+	settings := fmt.Sprintf("parallel=%d", p.Parallel)
+	if p.chunked {
+		settings += fmt.Sprintf(" chunk=%d", p.Chunk)
+	}
+	fmt.Fprintf(os.Stderr, "%s: wall time %.3fs, peak heap %.1f MB (%s)\n",
+		p.tool, time.Since(p.start).Seconds(), float64(peak)/(1<<20), settings)
 }

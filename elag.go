@@ -226,13 +226,9 @@ func NamedConfig(name string, table, regs int) (SimConfig, error) {
 
 // ParseMechSpec parses the canonical "kind[:entries[xassoc]]" mechanism
 // spec form (e.g. "stride:256", "pcax:256x4"). Syntax only; the kind and
-// geometry are checked against the kind table by ValidateMechSpec (or by
-// simulation construction).
+// geometry are checked against the kind table when a simulation is
+// configured (SimConfig.Validate) or built.
 func ParseMechSpec(s string) (MechSpec, error) { return mech.ParseSpec(s) }
-
-// ValidateMechSpec checks a mechanism spec's kind and geometry against the
-// kind table without building an instance.
-func ValidateMechSpec(sp MechSpec) error { return mech.Validate(sp) }
 
 // Mechanisms lists the mechanism kinds, sorted, with their
 // one-line descriptions — the -help-mechanisms vocabulary of the CLI

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elag"
+	"elag/internal/workload"
 )
 
 // buildAsm assembles without classification, failing the test on error.
@@ -77,6 +78,35 @@ func TestErrFuelMatchesFacade(t *testing.T) {
 	_, err := p.Run(50)
 	if !errors.Is(err, elag.ErrFuel) {
 		t.Errorf("err = %v, want ErrFuel match", err)
+	}
+}
+
+// TestProfileFuelFaultHasPosition: a profiling run that exhausts its
+// fuel reports the same fault as an architectural run at that fuel, PC
+// and sequence number included, and both match ErrFuel.
+func TestProfileFuelFaultHasPosition(t *testing.T) {
+	p, err := elag.Build(workload.Get("023.eqntott").Source, elag.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fuel = 5000
+	_, runErr := p.Run(fuel)
+	_, profErr := p.Profile(fuel)
+	var run, prof *elag.Fault
+	if !errors.As(runErr, &run) || !errors.As(profErr, &prof) {
+		t.Fatalf("Run err = %v, Profile err = %v; want *elag.Fault from both", runErr, profErr)
+	}
+	for _, err := range []error{runErr, profErr} {
+		if !errors.Is(err, elag.ErrFuel) {
+			t.Errorf("err = %v, want ErrFuel match", err)
+		}
+	}
+	if prof.PC != run.PC || prof.SeqNum != run.SeqNum {
+		t.Errorf("Profile fault at PC %d (inst #%d), Run fault at PC %d (inst #%d)",
+			prof.PC, prof.SeqNum, run.PC, run.SeqNum)
+	}
+	if run.SeqNum != fuel {
+		t.Errorf("Run fault at inst #%d, want #%d", run.SeqNum, fuel)
 	}
 }
 

@@ -21,12 +21,6 @@ type Config struct {
 	MissPenalty int
 }
 
-// DefaultConfig returns the paper's 64K direct-mapped, 64-byte-block,
-// 12-cycle-miss configuration.
-func DefaultConfig() Config {
-	return Config{SizeBytes: 64 << 10, BlockBytes: 64, Assoc: 1, MissPenalty: 12}
-}
-
 func (c *Config) fill() {
 	if c.SizeBytes == 0 {
 		c.SizeBytes = 64 << 10

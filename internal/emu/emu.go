@@ -357,17 +357,6 @@ func (t *Trace) reset(seq0 int64) {
 	t.Taken = t.Taken[:0]
 }
 
-// Fill writes entry i into te (SeqNum = Seq0+i). The replay loop reuses
-// one stack TraceEntry across the whole trace this way.
-func (t *Trace) Fill(i int, te *TraceEntry) {
-	te.PC = int(t.PC[i])
-	te.SeqNum = t.Seq0 + int64(i)
-	te.EA = t.EA[i]
-	te.BaseVal = t.BaseVal[i]
-	te.Taken = t.Taken[i]
-	te.NextPC = int(t.NextPC[i])
-}
-
 func (t *Trace) push(te *TraceEntry) {
 	t.PC = append(t.PC, int32(te.PC))
 	t.NextPC = append(t.NextPC, int32(te.NextPC))

@@ -119,9 +119,3 @@ func (m *Memory) ReadSigned(addr int64, width int) int64 {
 func (m *Memory) CheckAccess(addr int64, width int) *isa.Fault {
 	return isa.CheckAccess(addr, width)
 }
-
-// Footprint returns the number of bytes of allocated pages, a rough measure
-// of the program's touched memory.
-func (m *Memory) Footprint() int64 {
-	return int64(len(m.pages)) * pageSize
-}

@@ -18,9 +18,8 @@ import (
 // never influence scheduling or results — so a grid run is byte-identical
 // with or without them.
 type Counters struct {
-	// LabHits / LabMisses count lab-cache lookups: a hit joins an
-	// existing (possibly still building, single-flight) lab, a miss
-	// builds one.
+	// LabHits / LabMisses count lab-cache lookups: a hit returns a lab
+	// the Runner already stored, a miss builds one.
 	LabHits   atomic.Int64
 	LabMisses atomic.Int64
 

@@ -50,32 +50,30 @@ type EmbeddedRow struct {
 func (r *Runner) Embedded(ctx context.Context) ([]EmbeddedRow, error) {
 	media := workload.BySuite(workload.Media)
 	rows := make([]EmbeddedRow, len(media))
-	err := r.forEachLabCached(ctx, "embedded", nil, media,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{
-				{Config: embedded(pipeline.Config{})},
-				// The compiler-directed hardware scaled to an embedded
-				// budget: a 64-entry table and one R_addr.
-				{Config: embedded(pipeline.SelCompiler.Config(64, 1)), Flavors: l.HeurFlavors},
-				// The hardware-only dual path at the area budget the
-				// paper argues embedded designs cannot afford to
-				// exceed: the same table but an 8-register multicast
-				// cache.
-				{Config: embedded(pipeline.SelHWDual.Config(64, 8))},
-			})
-			if err != nil {
-				return err
-			}
-			base, cc, hw := ms[0], ms[1], ms[2]
-			rows[i] = EmbeddedRow{
-				Name:            l.W.Name,
-				CompilerSpeedup: float64(base.Cycles) / float64(cc.Cycles),
-				HWDualSpeedup:   float64(base.Cycles) / float64(hw.Cycles),
-			}
-			r.logf("%s done", l.W.Name)
-			return nil
+	err := r.forEachLab(ctx, media, func(ctx context.Context, i int, l *Lab) error {
+		ms, err := l.SimulateBatch(ctx, []pipeline.BatchSpec{
+			{Config: embedded(pipeline.Config{})},
+			// The compiler-directed hardware scaled to an embedded
+			// budget: a 64-entry table and one R_addr.
+			{Config: embedded(pipeline.SelCompiler.Config(64, 1)), Flavors: l.HeurFlavors},
+			// The hardware-only dual path at the area budget the
+			// paper argues embedded designs cannot afford to
+			// exceed: the same table but an 8-register multicast
+			// cache.
+			{Config: embedded(pipeline.SelHWDual.Config(64, 8))},
 		})
+		if err != nil {
+			return err
+		}
+		base, cc, hw := ms[0], ms[1], ms[2]
+		rows[i] = EmbeddedRow{
+			Name:            l.W.Name,
+			CompilerSpeedup: float64(base.Cycles) / float64(cc.Cycles),
+			HWDualSpeedup:   float64(base.Cycles) / float64(hw.Cycles),
+		}
+		r.logf("%s done", l.W.Name)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -45,54 +45,40 @@ func (s *seriesDef) spec(l *Lab) pipeline.BatchSpec {
 	return sp
 }
 
-// figureColumn is one benchmark's cacheable unit of a figure: its
-// speedups in series order. The row key carries the series labels, so a
-// series change (labels, count, order) misses cleanly.
-type figureColumn struct {
-	Speedups []float64 `json:"speedups"`
-}
-
-func (r *Runner) figure(ctx context.Context, exp, title string, suite workload.Suite, series []seriesDef) (*Figure, error) {
+func (r *Runner) figure(ctx context.Context, title string, suite workload.Suite, series []seriesDef) (*Figure, error) {
 	fig := &Figure{Title: title}
 	benches := workload.BySuite(suite)
 	for _, w := range benches {
 		fig.Benchmarks = append(fig.Benchmarks, w.Name)
 	}
-	labels := make([]string, len(series))
-	for i, s := range series {
+	for _, s := range series {
 		fig.Series = append(fig.Series, FigureSeries{Label: s.label, Speedups: map[string]float64{}})
-		labels[i] = s.label
 	}
-	// One benchmark's column of cells is a single unit of work (and of
-	// caching): its lab is built once and all series configurations
-	// advance through one streamed emulation in a single batched pass.
-	cols := make([]figureColumn, len(benches))
-	err := r.forEachLabCached(ctx, exp, labels, benches,
-		func(i int) any { return &cols[i] },
-		func(ctx context.Context, bi int, l *Lab) error {
-			specs := make([]pipeline.BatchSpec, len(series))
-			for i := range series {
-				specs[i] = series[i].spec(l)
-			}
-			sp, err := l.Speedups(ctx, specs)
-			if err != nil {
-				return err
-			}
-			cols[bi].Speedups = sp
-			r.logf("%s done", l.W.Name)
-			return nil
-		})
+	// One benchmark's column of cells is a single unit of work: its lab
+	// is built once and all series configurations advance through one
+	// streamed emulation in a single batched pass. cols[bi] holds its
+	// speedups in series order.
+	cols := make([][]float64, len(benches))
+	err := r.forEachLab(ctx, benches, func(ctx context.Context, bi int, l *Lab) error {
+		specs := make([]pipeline.BatchSpec, len(series))
+		for i := range series {
+			specs[i] = series[i].spec(l)
+		}
+		sp, err := l.Speedups(ctx, specs)
+		if err != nil {
+			return err
+		}
+		cols[bi] = sp
+		r.logf("%s done", l.W.Name)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	// Aggregate in benchmark order, off the worker pool: averages sum in
 	// a fixed order, so they are bit-identical at every worker count.
 	for bi, w := range benches {
-		if len(cols[bi].Speedups) != len(series) {
-			return nil, fmt.Errorf("%s: cached column has %d series, want %d (stale artifact schema?)",
-				w.Name, len(cols[bi].Speedups), len(series))
-		}
-		for i, sp := range cols[bi].Speedups {
+		for i, sp := range cols[bi] {
 			fig.Series[i].Speedups[w.Name] = sp
 			fig.Series[i].Average += sp / float64(len(benches))
 		}
@@ -121,7 +107,7 @@ func (r *Runner) Figure5a(ctx context.Context) (*Figure, error) {
 				flav: (*Lab).heurFlavors},
 		)
 	}
-	return r.figure(ctx, "fig5a", "Figure 5a: table-based address prediction only (scaled sizes)",
+	return r.figure(ctx, "Figure 5a: table-based address prediction only (scaled sizes)",
 		workload.SPEC, series)
 }
 
@@ -141,7 +127,7 @@ func (r *Runner) Figure5b(ctx context.Context) (*Figure, error) {
 			cfg:   pipeline.SelAllEarly.Config(0, n),
 		})
 	}
-	return r.figure(ctx, "fig5b", "Figure 5b: early address calculation only (scaled sizes)",
+	return r.figure(ctx, "Figure 5b: early address calculation only (scaled sizes)",
 		workload.SPEC, series)
 }
 
@@ -156,7 +142,7 @@ func (r *Runner) Figure5c(ctx context.Context) (*Figure, error) {
 		{label: "compiler dual", cfg: elag.CompilerDirectedConfig(), flav: (*Lab).heurFlavors},
 		{label: "compiler dual+profile", cfg: elag.CompilerDirectedConfig(), flav: (*Lab).reclassFlavors},
 	}
-	return r.figure(ctx, "fig5c", "Figure 5c: dual-path early address generation", workload.SPEC, series)
+	return r.figure(ctx, "Figure 5c: dual-path early address generation", workload.SPEC, series)
 }
 
 // FigureMech is the mechanism-layer extension figure: each assist
@@ -175,8 +161,7 @@ func (r *Runner) FigureMech(ctx context.Context) (*Figure, error) {
 	}
 	series = append(series,
 		seriesDef{label: "compiler dual", cfg: elag.CompilerDirectedConfig(), flav: (*Lab).heurFlavors})
-	return r.figure(ctx, "figmech",
-		"Figure M: pluggable load-acceleration mechanisms (speedup over base)",
+	return r.figure(ctx, "Figure M: pluggable load-acceleration mechanisms (speedup over base)",
 		workload.SPEC, series)
 }
 

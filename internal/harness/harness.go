@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"elag"
-	"elag/internal/artifact"
 	"elag/internal/core"
 	"elag/internal/emu"
 	"elag/internal/isa"
@@ -60,14 +59,6 @@ type Runner struct {
 	// hits/misses, replayed chunks and entries). Purely observational:
 	// results are byte-identical with or without it.
 	Counters *Counters
-	// Artifacts, when non-nil, caches grid experiments at per-benchmark
-	// row granularity through the content-addressed store: a row already
-	// present (same experiment, benchmark source, fuel, chunk — see
-	// rowKey) is decoded instead of simulated, so overlapping grids
-	// recompute only missing rows. Cached rows round-trip through JSON,
-	// which preserves float64 bits exactly — documents built from cached
-	// rows are byte-identical to cold ones.
-	Artifacts *artifact.Store
 	// Progress, when non-nil, is called after each benchmark column of a
 	// grid experiment completes, with the benchmark name and the
 	// done/total counts for that experiment. Called from grid worker
@@ -77,16 +68,7 @@ type Runner struct {
 	logMu sync.Mutex
 
 	labMu sync.Mutex
-	labs  map[string]*labEntry
-}
-
-// labEntry is one cache slot. ready is closed once l/err are set;
-// concurrent requests for the same benchmark wait on it instead of
-// building twice (single-flight).
-type labEntry struct {
-	ready chan struct{}
-	l     *Lab
-	err   error
+	labs  map[string]*Lab
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -140,66 +122,42 @@ type Lab struct {
 	baseCycles atomic.Int64
 }
 
-// Lab prepares the lab for one workload, returning a cached one when
-// available. Concurrent callers requesting the same benchmark share one
-// build; distinct benchmarks build independently. The Runner keeps every
-// lab it builds for its lifetime: labs hold no trace, and the grids only
-// ever build the fixed workload suite.
+// Lab prepares the lab for one workload, returning the stored one when
+// the Runner has built it before. The Runner keeps every lab it builds
+// for its lifetime: labs hold no trace, and the grids only ever build the
+// fixed workload suite. Concurrent first requests for one benchmark each
+// build it and all return the lab stored first; no grid makes them, as
+// forEachLab hands each benchmark to one worker.
 //
-// ctx bounds the build (compile, profile): a cancelled ctx aborts
-// with the ctx error. When the single-flight build a caller was waiting on
-// fails because the *builder's* ctx was cancelled, a waiter whose own ctx
-// is still live retries the build instead of inheriting the cancellation —
-// one caller's deadline never fails another caller's request.
+// ctx bounds the build (compile, profile): a cancelled ctx aborts with
+// the ctx error. A failed build stores nothing, so a later call rebuilds.
 func (r *Runner) Lab(ctx context.Context, w *workload.Workload) (*Lab, error) {
-	for {
-		l, err := r.labOnce(ctx, w)
-		if err == nil || !isContextErr(err) || ctx.Err() != nil {
-			return l, err
-		}
-		// The build was cancelled under someone else's ctx; ours is live.
-	}
-}
-
-// isContextErr reports whether err is a context cancellation or deadline
-// error (possibly wrapped).
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// labOnce is one single-flight pass over the lab cache: join an in-flight
-// build or become the builder.
-func (r *Runner) labOnce(ctx context.Context, w *workload.Workload) (*Lab, error) {
 	r.labMu.Lock()
-	if r.labs == nil {
-		r.labs = make(map[string]*labEntry)
-	}
-	if e, ok := r.labs[w.Name]; ok {
-		r.labMu.Unlock()
+	l, ok := r.labs[w.Name]
+	r.labMu.Unlock()
+	if ok {
 		if r.Counters != nil {
 			r.Counters.LabHits.Add(1)
 		}
-		<-e.ready
-		return e.l, e.err
+		return l, nil
 	}
 	if r.Counters != nil {
 		r.Counters.LabMisses.Add(1)
 	}
-	e := &labEntry{ready: make(chan struct{})}
-	r.labs[w.Name] = e
-	r.labMu.Unlock()
-
-	e.l, e.err = r.buildLab(ctx, w)
-	if e.err != nil {
-		// Do not cache failures: a later retry rebuilds.
-		r.labMu.Lock()
-		if r.labs[w.Name] == e {
-			delete(r.labs, w.Name)
-		}
-		r.labMu.Unlock()
+	l, err := r.buildLab(ctx, w)
+	if err != nil {
+		return nil, err
 	}
-	close(e.ready)
-	return e.l, e.err
+	r.labMu.Lock()
+	defer r.labMu.Unlock()
+	if first, ok := r.labs[w.Name]; ok {
+		return first, nil
+	}
+	if r.labs == nil {
+		r.labs = make(map[string]*Lab)
+	}
+	r.labs[w.Name] = l
+	return l, nil
 }
 
 func (r *Runner) buildLab(ctx context.Context, w *workload.Workload) (*Lab, error) {

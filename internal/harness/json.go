@@ -41,9 +41,8 @@ func (r *Runner) Document(ctx context.Context) (*BenchDocument, error) {
 }
 
 // DocumentExp runs the experiments SelectExperiments(exp) selects, in
-// print order, into an otherwise-empty document. Narrow documents share
-// the full document's per-row artifact cache when Runner.Artifacts is
-// set: running "all" warms every narrower selection and vice versa.
+// print order, into an otherwise-empty document. A narrow document's
+// artifacts are byte-identical to the same fields of the full one.
 func (r *Runner) DocumentExp(ctx context.Context, exp string) (*BenchDocument, error) {
 	sel, err := SelectExperiments(exp)
 	if err != nil {

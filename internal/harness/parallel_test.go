@@ -58,9 +58,10 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestLabSingleFlight: concurrent requests for one benchmark must share a
-// single build and return the same lab, and concurrent speedup passes
-// over that lab — racing to measure its base cycle count — must agree.
+// TestLabSingleFlight: concurrent first requests for one benchmark may
+// each build it, but all must return the same lab (the one stored
+// first), and concurrent speedup passes over that lab — racing to
+// measure its base cycle count — must agree.
 func TestLabSingleFlight(t *testing.T) {
 	r := &harness.Runner{Fuel: 50_000, Parallel: 8}
 	w := workload.Get("023.eqntott")

@@ -48,12 +48,10 @@ func tableRow(l *Lab, c *core.Classification) Table2Row {
 func (r *Runner) Table2(ctx context.Context) ([]Table2Row, error) {
 	benches := workload.BySuite(workload.SPEC)
 	rows := make([]Table2Row, len(benches))
-	err := r.forEachLabCached(ctx, "table2", nil, benches,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			rows[i] = tableRow(l, l.Heur)
-			return nil
-		})
+	err := r.forEachLab(ctx, benches, func(ctx context.Context, i int, l *Lab) error {
+		rows[i] = tableRow(l, l.Heur)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -108,24 +106,22 @@ type Table3Row struct {
 func (r *Runner) Table3(ctx context.Context) ([]Table3Row, error) {
 	benches := workload.BySuite(workload.SPEC)
 	rows := make([]Table3Row, len(benches))
-	err := r.forEachLabCached(ctx, "table3", nil, benches,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.ReclassFlavors}})
-			if err != nil {
-				return err
-			}
-			t := tableRow(l, l.Reclass)
-			rows[i] = Table3Row{
-				Name:     l.W.Name,
-				Speedup:  sp[0],
-				StaticPD: t.StaticPD,
-				DynPD:    t.DynPD,
-				RateNT:   t.RateNT,
-				RatePD:   t.RatePD,
-			}
-			return nil
-		})
+	err := r.forEachLab(ctx, benches, func(ctx context.Context, i int, l *Lab) error {
+		sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.ReclassFlavors}})
+		if err != nil {
+			return err
+		}
+		t := tableRow(l, l.Reclass)
+		rows[i] = Table3Row{
+			Name:     l.W.Name,
+			Speedup:  sp[0],
+			StaticPD: t.StaticPD,
+			DynPD:    t.DynPD,
+			RateNT:   t.RateNT,
+			RatePD:   t.RatePD,
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -166,16 +162,14 @@ type Table4Row struct {
 func (r *Runner) Table4(ctx context.Context) ([]Table4Row, error) {
 	benches := workload.BySuite(workload.Media)
 	rows := make([]Table4Row, len(benches))
-	err := r.forEachLabCached(ctx, "table4", nil, benches,
-		func(i int) any { return &rows[i] },
-		func(ctx context.Context, i int, l *Lab) error {
-			sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.HeurFlavors}})
-			if err != nil {
-				return err
-			}
-			rows[i] = Table4Row{Table2Row: tableRow(l, l.Heur), Speedup: sp[0]}
-			return nil
-		})
+	err := r.forEachLab(ctx, benches, func(ctx context.Context, i int, l *Lab) error {
+		sp, err := l.Speedups(ctx, []pipeline.BatchSpec{{Config: elag.CompilerDirectedConfig(), Flavors: l.HeurFlavors}})
+		if err != nil {
+			return err
+		}
+		rows[i] = Table4Row{Table2Row: tableRow(l, l.Heur), Speedup: sp[0]}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

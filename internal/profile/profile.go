@@ -27,7 +27,9 @@ type LoadProfile struct {
 }
 
 // Collect emulates prog and profiles every load. fuel bounds the emulated
-// instruction count (<= 0 for the default).
+// instruction count (<= 0 for the default); running out returns the
+// emulator's fuel fault, with its PC and sequence number, which matches
+// emu.ErrFuel.
 func Collect(prog *isa.Program, fuel int64) (*LoadProfile, emu.Result, error) {
 	return CollectContext(context.Background(), prog, fuel)
 }
@@ -55,8 +57,8 @@ func CollectContext(ctx context.Context, prog *isa.Program, fuel int64) (*LoadPr
 			}
 			next = n + emu.DefaultChunkSize
 		}
-		if c.Result().DynamicInsts >= fuel {
-			return p, c.Result(), emu.ErrFuel
+		if n := c.Result().DynamicInsts; n >= fuel {
+			return p, c.Result(), &isa.Fault{Kind: isa.FaultFuel, PC: c.PC, SeqNum: n}
 		}
 		if err := c.Step(&te); err != nil {
 			return p, c.Result(), err

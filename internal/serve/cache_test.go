@@ -372,13 +372,16 @@ func TestCorruptArtifactRecovered(t *testing.T) {
 }
 
 // TestWarmGridSpeedup is the acceptance gate: a fully cached grid job is
-// byte-identical to the cold run and at least 20x faster.
+// byte-identical to the cold run and at least 20x faster. A grid job is
+// cached whole: the cold job stores one artifact, its result, and the
+// warm job stores none.
 func TestWarmGridSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid job in -short mode")
 	}
 	check := leakCheck(t)
-	s, ts := testService(t, Options{Workers: 2, GridParallel: 2, Cache: memStore(t)})
+	store := memStore(t)
+	s, ts := testService(t, Options{Workers: 2, GridParallel: 2, Cache: store})
 
 	spec := &JobSpec{Kind: KindGrid, Exp: "table2", Fuel: 2_000_000}
 	coldStart := time.Now()
@@ -388,6 +391,9 @@ func TestWarmGridSpeedup(t *testing.T) {
 		t.Fatalf("cold grid: %d\n%s", resp.StatusCode, raw)
 	}
 	coldResult := resultBytes(t, raw)
+	if puts := store.Stats().Puts; puts != 1 {
+		t.Errorf("cold grid job stored %d artifacts, want 1 (its whole result)", puts)
+	}
 
 	warmStart := time.Now()
 	resp2, raw2 := postJob(t, ts, spec, "?wait=1")
@@ -396,6 +402,9 @@ func TestWarmGridSpeedup(t *testing.T) {
 		t.Fatalf("warm grid: %d\n%s", resp2.StatusCode, raw2)
 	}
 	warmResult := resultBytes(t, raw2)
+	if puts := store.Stats().Puts; puts != 1 {
+		t.Errorf("warm grid job stored %d artifacts, want 0", puts-1)
+	}
 
 	if !bytes.Equal(coldResult, warmResult) {
 		t.Errorf("warm grid result differs from cold")

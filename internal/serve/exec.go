@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"elag"
-	"elag/internal/artifact"
 	"elag/internal/harness"
 	"elag/internal/pipeline"
 	"elag/internal/telemetry"
@@ -48,14 +47,14 @@ type SimulateResult struct {
 // program-level (build failures, architectural faults), not spec-level.
 // work receives chunk/lab-cache telemetry; j.progress receives live
 // frames (free when nobody subscribed).
-func execute(j *Job, gridParallel int, work *harness.Counters, cache *artifact.Store) (any, error) {
+func execute(j *Job, gridParallel int, work *harness.Counters) (any, error) {
 	switch j.Spec.Kind {
 	case KindCompile:
 		return executeCompile(j.Spec)
 	case KindSimulate:
 		return executeSimulate(j, work)
 	case KindGrid:
-		return executeGrid(j, gridParallel, work, cache)
+		return executeGrid(j, gridParallel, work)
 	}
 	// Unreachable after Validate; keep the failure typed anyway.
 	return nil, &SpecError{Field: "kind", Reason: fmt.Sprintf("unknown kind %q", j.Spec.Kind)}
@@ -144,15 +143,10 @@ func NewSimulateResult(spec *JobSpec, output string, metrics []*elag.Metrics) *S
 	return res
 }
 
-func executeGrid(j *Job, parallel int, work *harness.Counters, cache *artifact.Store) (any, error) {
+func executeGrid(j *Job, parallel int, work *harness.Counters) (any, error) {
 	r := &harness.Runner{
 		Fuel: j.Spec.Fuel, Parallel: parallel, ChunkSize: j.Spec.Chunk,
 		Counters: work,
-		// The artifact store gives grid jobs per-row caching: every
-		// (experiment, benchmark) row the runner computes is stored, so a
-		// later grid — same or narrower experiment selection — recomputes
-		// only the rows it is missing.
-		Artifacts: cache,
 		// Each completed benchmark column becomes a frame; done/total
 		// restart per experiment (Document runs several), so a consumer
 		// sees per-experiment sweep progress, not one global bar.

@@ -61,8 +61,8 @@ type JobSpec struct {
 
 	// Exp narrows a grid job to one experiment of harness.Experiments,
 	// figmech included. Empty or "all" runs the full document, which
-	// leaves figmech out. Narrow grids share the full document's per-row
-	// artifact cache: an "all" run warms every narrower one and vice versa.
+	// leaves figmech out. Each selection is cached as its own whole
+	// result, so a narrow grid after an "all" grid recomputes its fields.
 	Exp string `json:"exp,omitempty"`
 
 	// Fuel bounds the dynamic instruction count. Simulate and grid jobs

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"elag"
-	"elag/internal/artifact"
 	"elag/internal/chaosinject"
 	"elag/internal/harness"
 	"elag/internal/telemetry"
@@ -193,17 +192,15 @@ type pool struct {
 	wg           sync.WaitGroup
 	stats        *Stats
 	work         *harness.Counters
-	cache        *artifact.Store
 	log          *slog.Logger
 }
 
 // newPool starts workers goroutines draining queue. gridParallel is the
 // harness parallelism grid jobs run with (each grid job fans its
-// benchmarks over that many goroutines of its own). cache (may be nil)
-// is the artifact store grid jobs use for per-row caching.
+// benchmarks over that many goroutines of its own).
 func newPool(workers, gridParallel int, queue chan *Job, stats *Stats,
-	work *harness.Counters, cache *artifact.Store, log *slog.Logger) *pool {
-	p := &pool{jobs: queue, gridParallel: gridParallel, stats: stats, work: work, cache: cache, log: log}
+	work *harness.Counters, log *slog.Logger) *pool {
+	p := &pool{jobs: queue, gridParallel: gridParallel, stats: stats, work: work, log: log}
 	for i := 0; i < workers; i++ {
 		p.startWorker()
 	}
@@ -265,7 +262,7 @@ func (p *pool) runOne(j *Job) {
 	// Chaos: an injected worker crash surfaces exactly where a real
 	// simulation-kernel bug would — after dequeue, before results exist.
 	chaosinject.MaybePanic("worker")
-	result, err := execute(j, p.gridParallel, p.work, p.cache)
+	result, err := execute(j, p.gridParallel, p.work)
 	if err != nil {
 		j.finish(nil, classifyErr(err))
 		return

@@ -59,8 +59,9 @@ type Options struct {
 	// Cache, when non-nil, is the content-addressed result store: jobs
 	// consult it before admission to the worker pool (a hit never costs a
 	// queue slot), identical in-flight jobs coalesce via single-flight,
-	// and grid jobs cache per-row through it. nil disables all caching —
-	// every job executes.
+	// and a done job stores its whole result. It is the only result
+	// cache: a grid job caches its document, never its rows. nil disables
+	// all caching — every job executes.
 	Cache *artifact.Store
 	// Log receives the structured service log, with job-ID correlation
 	// across admission → pool → exec → drain. nil logs nothing.
@@ -143,7 +144,7 @@ func New(opts Options) *Server {
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	s.stats = newStats(s.start, s.cache)
 	s.registerServerMetrics()
-	s.pool = newPool(opts.Workers, opts.GridParallel, s.queue, s.stats, &s.work, s.cache, s.log)
+	s.pool = newPool(opts.Workers, opts.GridParallel, s.queue, s.stats, &s.work, s.log)
 	return s
 }
 
@@ -175,7 +176,7 @@ func (s *Server) registerServerMetrics() {
 			return 0
 		})
 	reg.CounterFunc("elag_lab_cache_hits_total",
-		"Grid lab-cache lookups that joined an existing lab.",
+		"Grid lab-cache lookups that returned a lab the job had already built.",
 		func() float64 { return float64(s.work.LabHits.Load()) })
 	reg.CounterFunc("elag_lab_cache_misses_total",
 		"Grid lab-cache lookups that built a new lab.",
