@@ -7,6 +7,7 @@
 //	elag-cc [flags] file.mc
 //
 //	-o file        write assembly to file (default stdout)
+//	-obj file      also write an ELAG object file (.bin, loadable by elag-sim)
 //	-O level       optimization level: 0, 1 or 2 (default 2)
 //	-passes spec   explicit pass pipeline, e.g. "fixpoint(constprop,dce),lower"
 //	-pass-stats f  write per-pass statistics JSON (elag-passes/v1); "-" = stderr
@@ -14,7 +15,6 @@
 //	-no-classify   leave every load as ld_n
 //	-ec-groups N   give N base-register groups ld_e (default 1)
 //	-additive      use the paper's literal additive S_load fixpoint
-//	-describe      print the per-load classification listing
 //	-dump-classes  print per-load classes with the deciding heuristic
 //	-structure     print the machine-level CFG/loop structure
 //	-help-passes   list the registered passes and exit
@@ -41,7 +41,6 @@ func main() {
 	noClassify := flag.Bool("no-classify", false, "leave every load as ld_n")
 	ecGroups := flag.Int("ec-groups", 1, "base-register groups assigned ld_e")
 	additive := flag.Bool("additive", false, "use the paper's additive S_load fixpoint")
-	describe := flag.Bool("describe", false, "print per-load classification")
 	dumpClasses := flag.Bool("dump-classes", false, "print per-load classes with the deciding heuristic")
 	structure := flag.Bool("structure", false, "print machine CFG/loop structure")
 	helpPasses := flag.Bool("help-passes", false, "list registered passes and exit")
@@ -113,9 +112,6 @@ func main() {
 	}
 	if *structure {
 		fmt.Fprint(os.Stderr, core.DumpStructure(p.Machine))
-	}
-	if *describe && p.Classes != nil {
-		fmt.Fprint(os.Stderr, core.Describe(p.Machine, p.Classes))
 	}
 	if *dumpClasses && p.Classes != nil {
 		fmt.Fprint(os.Stderr, core.DumpClasses(p.Machine, p.Classes))

@@ -372,34 +372,7 @@ func LoadObject(buf []byte) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{Machine: mp}
-	c := &core.Classification{ByPC: map[int]core.Class{}}
-	for pc := range mp.Insts {
-		in := &mp.Insts[pc]
-		if !in.IsLoad() {
-			continue
-		}
-		var cl core.Class
-		switch in.Flavor {
-		case isa.LdP:
-			cl = core.PD
-		case isa.LdE:
-			cl = core.EC
-		default:
-			cl = core.NT
-		}
-		c.ByPC[pc] = cl
-		switch cl {
-		case core.NT:
-			c.StaticNT++
-		case core.PD:
-			c.StaticPD++
-		case core.EC:
-			c.StaticEC++
-		}
-	}
-	p.Classes = c
-	return p, nil
+	return &Program{Machine: mp, Classes: core.FromFlavors(mp)}, nil
 }
 
 // Run executes the program architecturally (no timing) and returns its

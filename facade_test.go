@@ -2,11 +2,13 @@ package elag_test
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
 	"elag"
 	"elag/internal/passman"
+	"elag/internal/workload"
 )
 
 func TestBuildAsmAndClassify(t *testing.T) {
@@ -72,6 +74,33 @@ func TestObjectRoundTripPreservesBehaviour(t *testing.T) {
 	}
 	if m1.Cycles != m2.Cycles {
 		t.Errorf("cycles differ after round trip: %d vs %d", m1.Cycles, m2.Cycles)
+	}
+}
+
+// TestObjectRoundTripKeepsClasses: the classes LoadObject reads back from
+// the flavours of every workload's object are the classes the build gave
+// each load, with the same per-class counts.
+func TestObjectRoundTripKeepsClasses(t *testing.T) {
+	for _, w := range workload.All() {
+		p, err := elag.Build(w.Source, elag.BuildOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		buf, err := p.Object()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		q, err := elag.LoadObject(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		want, got := p.Classes, q.Classes
+		if !maps.Equal(got.ByPC, want.ByPC) {
+			t.Errorf("%s: classes differ after the round trip", w.Name)
+		}
+		if got.StaticNT != want.StaticNT || got.StaticPD != want.StaticPD || got.StaticEC != want.StaticEC {
+			t.Errorf("%s: counts %s after the round trip, %s before", w.Name, got, want)
+		}
 	}
 }
 

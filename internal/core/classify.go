@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"elag/internal/isa"
 )
@@ -61,6 +60,19 @@ func (c Class) Flavor() isa.LoadFlavor {
 	}
 }
 
+// classOf returns the class a load flavour encodes, the inverse of
+// Class.Flavor.
+func classOf(f isa.LoadFlavor) Class {
+	switch f {
+	case isa.LdP:
+		return PD
+	case isa.LdE:
+		return EC
+	default:
+		return NT
+	}
+}
+
 // Options tunes the classifier.
 type Options struct {
 	// MaxECGroups is how many base-register groups receive ld_e per
@@ -90,6 +102,34 @@ type Classification struct {
 	Reasons map[int]string
 	// StaticNT/PD/EC count static loads per class.
 	StaticNT, StaticPD, StaticEC int
+}
+
+// FromFlavors reads back the classification that p's load flavours encode,
+// as an object file carries it: every load gets its flavour's class. No
+// reasons are recorded.
+func FromFlavors(p *isa.Program) *Classification {
+	c := &Classification{ByPC: make(map[int]Class)}
+	for pc := range p.Insts {
+		if in := &p.Insts[pc]; in.IsLoad() {
+			c.ByPC[pc] = classOf(in.Flavor)
+		}
+	}
+	c.count()
+	return c
+}
+
+// count sets the per-class static load counts from ByPC.
+func (c *Classification) count() {
+	for _, cl := range c.ByPC {
+		switch cl {
+		case NT:
+			c.StaticNT++
+		case PD:
+			c.StaticPD++
+		case EC:
+			c.StaticEC++
+		}
+	}
 }
 
 // Reason returns the recorded heuristic for the load at pc ("" if none).
@@ -149,16 +189,7 @@ func Classify(p *isa.Program, o Options) *Classification {
 	for _, f := range splitFunctions(p) {
 		classifyFunc(p, f, o, c)
 	}
-	for _, cl := range c.ByPC {
-		switch cl {
-		case NT:
-			c.StaticNT++
-		case PD:
-			c.StaticPD++
-		case EC:
-			c.StaticEC++
-		}
-	}
+	c.count()
 	return c
 }
 
@@ -183,7 +214,8 @@ func classifyFunc(p *isa.Program, f *mfunc, o Options, c *Classification) {
 	// Cyclic code: nested loops are sorted and inner loops analyzed
 	// first (Section 4.1); a load keeps the class its innermost
 	// enclosing loop gave it.
-	for _, l := range findMLoops(f) {
+	loops := findMLoops(f)
+	for _, l := range loops {
 		classifyLoop(p, l, o, assign, assigned)
 	}
 
@@ -192,8 +224,8 @@ func classifyFunc(p *isa.Program, f *mfunc, o Options, c *Classification) {
 	// gets ld_e, the remainder ld_n.
 	var acyclic []int
 	inLoop := make(map[int]bool)
-	for _, l := range findMLoops(f) {
-		for b := range l.blocks {
+	for _, l := range loops {
+		for _, b := range l.Blocks {
 			for pc := b.start; pc < b.end; pc++ {
 				inLoop[pc] = true
 			}
@@ -249,7 +281,7 @@ func classifyLoop(p *isa.Program, l *mloop, o Options, assign func(int, Class, s
 
 	// Step 3: split into load-dependent and arithmetic-dependent loads.
 	var loadDep, arithDep []int
-	for b := range l.blocks {
+	for _, b := range l.Blocks {
 		for pc := b.start; pc < b.end; pc++ {
 			in := &p.Insts[pc]
 			if !in.IsLoad() || assigned[pc] {
@@ -275,7 +307,7 @@ func classifyLoop(p *isa.Program, l *mloop, o Options, assign func(int, Class, s
 func additiveSLoad(p *isa.Program, l *mloop) map[isa.Reg]bool {
 	sload := make(map[isa.Reg]bool)
 	eachInst := func(fn func(in *isa.Inst)) {
-		for b := range l.blocks {
+		for _, b := range l.Blocks {
 			for pc := b.start; pc < b.end; pc++ {
 				fn(&p.Insts[pc])
 			}
@@ -320,8 +352,8 @@ func (s *regSet) union(o regSet)    { *s |= o }
 // (values computed before the loop are, from the loop's perspective,
 // invariant); taint flows around the back edges to a fixpoint.
 func taintSLoad(p *isa.Program, l *mloop) map[int]regSet {
-	in := make(map[*mblock]regSet, len(l.blocks))
-	out := make(map[*mblock]regSet, len(l.blocks))
+	in := make(map[*mblock]regSet, len(l.Blocks))
+	out := make(map[*mblock]regSet, len(l.Blocks))
 
 	var scratch []isa.Reg
 	step := func(t regSet, inst *isa.Inst) regSet {
@@ -365,10 +397,10 @@ func taintSLoad(p *isa.Program, l *mloop) map[int]regSet {
 
 	for changed := true; changed; {
 		changed = false
-		for b := range l.blocks {
+		for _, b := range l.Blocks {
 			var newIn regSet
 			for _, pr := range b.preds {
-				if l.blocks[pr] {
+				if l.Contains(pr) {
 					newIn.union(out[pr])
 				}
 			}
@@ -384,7 +416,7 @@ func taintSLoad(p *isa.Program, l *mloop) map[int]regSet {
 	}
 
 	at := make(map[int]regSet)
-	for b := range l.blocks {
+	for _, b := range l.Blocks {
 		t := in[b]
 		for pc := b.start; pc < b.end; pc++ {
 			at[pc] = t
@@ -465,26 +497,6 @@ func Reclassify(c *Classification, rates map[int]float64, threshold float64) *Cl
 		n.ByPC[pc] = cl
 		n.Reasons[pc] = why
 	}
-	for _, cl := range n.ByPC {
-		switch cl {
-		case NT:
-			n.StaticNT++
-		case PD:
-			n.StaticPD++
-		case EC:
-			n.StaticEC++
-		}
-	}
+	n.count()
 	return n
-}
-
-// Describe renders a per-load classification listing for debugging.
-func Describe(p *isa.Program, c *Classification) string {
-	var sb strings.Builder
-	for pc := range p.Insts {
-		if cl, ok := c.ByPC[pc]; ok {
-			fmt.Fprintf(&sb, "%6d  %-2s  %s\n", pc, cl, p.Insts[pc].String())
-		}
-	}
-	return sb.String()
 }

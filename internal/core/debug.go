@@ -8,9 +8,6 @@ import (
 	"elag/internal/isa"
 )
 
-// DumpStructure renders the machine-level functions, basic blocks and
-// natural loops the classifier sees — a debugging aid for classification
-// questions (exposed through elag-cc -structure).
 // DumpClasses renders the per-load classification listing with the
 // heuristic that produced each class — pc, class, reason, instruction —
 // grouped by function (exposed through elag-cc -dump-classes).
@@ -33,6 +30,9 @@ func DumpClasses(p *isa.Program, c *Classification) string {
 	return sb.String()
 }
 
+// DumpStructure renders the machine-level functions, basic blocks and
+// natural loops the classifier sees — a debugging aid for classification
+// questions (exposed through elag-cc -structure).
 func DumpStructure(p *isa.Program) string {
 	var sb strings.Builder
 	for _, f := range splitFunctions(p) {
@@ -46,11 +46,11 @@ func DumpStructure(p *isa.Program) string {
 		}
 		for _, l := range findMLoops(f) {
 			var blocks []int
-			for b := range l.blocks {
+			for _, b := range l.Blocks {
 				blocks = append(blocks, b.start)
 			}
 			sort.Ints(blocks)
-			fmt.Fprintf(&sb, "  loop depth=%d header=%d blocks=%v\n", l.depth, l.header.start, blocks)
+			fmt.Fprintf(&sb, "  loop depth=%d header=%d blocks=%v\n", l.Depth, l.Header.start, blocks)
 		}
 	}
 	return sb.String()

@@ -3,14 +3,17 @@ package core
 import (
 	"sort"
 
+	"elag/internal/ir"
 	"elag/internal/isa"
 )
 
 // This file builds the machine-level control-flow graph the classifier
-// analyzes: function extents, basic blocks, dominators, and natural loops
-// over assembled programs. The heuristics run after code generation (the
-// hardware sees physical base registers), so the classifier cannot reuse
-// the virtual-register IR analyses.
+// analyzes: function extents, basic blocks and their edges over assembled
+// programs. The heuristics run after code generation (the hardware sees
+// physical base registers), so the classifier builds machine blocks rather
+// than reusing the virtual-register IR; it finds their loops with the IR's
+// dominator and natural-loop analyses, which are generic over the node
+// type.
 
 // mblock is a machine basic block: instructions [start, end) of the program.
 type mblock struct {
@@ -29,18 +32,23 @@ type mfunc struct {
 
 // splitFunctions partitions the program into functions: the entry point and
 // every call target begin a function; each function extends to the next
-// function start.
+// function start. A function is named by the least symbol at its start, so
+// aliases (a function and its first block's label) name it the same way on
+// every run.
 func splitFunctions(p *isa.Program) []*mfunc {
-	starts := map[int]string{p.Entry: "entry"}
+	starts := map[int]string{p.Entry: ""}
 	for _, in := range p.Insts {
 		if in.Op == isa.OpCall {
 			starts[in.Target] = ""
 		}
 	}
 	for name, pc := range p.Symbols {
-		if _, ok := starts[pc]; ok && starts[pc] == "" || pc == p.Entry {
+		if cur, ok := starts[pc]; ok && (cur == "" || name < cur) {
 			starts[pc] = name
 		}
+	}
+	if starts[p.Entry] == "" {
+		starts[p.Entry] = "entry"
 	}
 	pcs := make([]int, 0, len(starts))
 	for pc := range starts {
@@ -126,128 +134,11 @@ func buildBlocks(p *isa.Program, f *mfunc) {
 	}
 }
 
-// mdoms computes immediate dominators over f's blocks (entry-index order is
-// already a valid traversal basis; uses the iterative algorithm).
-func mdoms(f *mfunc) map[*mblock]*mblock {
-	if len(f.blocks) == 0 {
-		return nil
-	}
-	entry := f.blocks[0]
-	var rpo []*mblock
-	seen := map[*mblock]bool{}
-	var dfs func(b *mblock)
-	dfs = func(b *mblock) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.succs {
-			dfs(s)
-		}
-		rpo = append(rpo, b)
-	}
-	dfs(entry)
-	for i, j := 0, len(rpo)-1; i < j; i, j = i+1, j-1 {
-		rpo[i], rpo[j] = rpo[j], rpo[i]
-	}
-	order := map[*mblock]int{}
-	for i, b := range rpo {
-		order[b] = i
-	}
-	idom := map[*mblock]*mblock{entry: entry}
-	intersect := func(a, b *mblock) *mblock {
-		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
-			}
-			for order[b] > order[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var ni *mblock
-			for _, p := range b.preds {
-				if idom[p] == nil {
-					continue
-				}
-				if ni == nil {
-					ni = p
-				} else {
-					ni = intersect(ni, p)
-				}
-			}
-			if ni != nil && idom[b] != ni {
-				idom[b] = ni
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-func dominates(idom map[*mblock]*mblock, a, b *mblock) bool {
-	for {
-		if a == b {
-			return true
-		}
-		n := idom[b]
-		if n == nil || n == b {
-			return false
-		}
-		b = n
-	}
-}
-
 // mloop is a natural loop over machine blocks.
-type mloop struct {
-	header *mblock
-	blocks map[*mblock]bool
-	depth  int
-}
+type mloop = ir.LoopOf[*mblock]
 
 // findMLoops returns f's natural loops sorted innermost (deepest) first.
-func findMLoops(f *mfunc) []*mloop {
-	idom := mdoms(f)
-	byHeader := map[*mblock]*mloop{}
-	var loops []*mloop
-	for _, b := range f.blocks {
-		for _, s := range b.succs {
-			if idom[b] == nil || !dominates(idom, s, b) {
-				continue
-			}
-			l := byHeader[s]
-			if l == nil {
-				l = &mloop{header: s, blocks: map[*mblock]bool{s: true}}
-				byHeader[s] = l
-				loops = append(loops, l)
-			}
-			stack := []*mblock{b}
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if l.blocks[n] {
-					continue
-				}
-				l.blocks[n] = true
-				stack = append(stack, n.preds...)
-			}
-		}
-	}
-	for _, a := range loops {
-		for _, b := range loops {
-			if a != b && b.blocks[a.header] {
-				a.depth++
-			}
-		}
-		a.depth++ // self
-	}
-	sort.SliceStable(loops, func(i, j int) bool { return loops[i].depth > loops[j].depth })
-	return loops
-}
+func findMLoops(f *mfunc) []*mloop { return ir.NaturalLoops(f.blocks, msuccs, mpreds) }
+
+func msuccs(b *mblock) []*mblock { return b.succs }
+func mpreds(b *mblock) []*mblock { return b.preds }

@@ -1,65 +1,41 @@
 package ir
 
+import "slices"
+
 // This file implements the CFG analyses used by the optimizer and the load
-// classifier: dominators (iterative Cooper-Harvey-Kennedy), natural loop
-// detection from back edges, and virtual-register liveness.
+// classifier: immediate dominators (iterative Cooper-Harvey-Kennedy) and
+// natural loops from back edges, generic over the node type so that the
+// classifier runs the same code on machine blocks; and virtual-register
+// liveness.
 
-// Dominators maps each block to its immediate dominator. The entry block's
-// immediate dominator is itself.
-type Dominators struct {
-	idom map[*Block]*Block
-}
-
-// Idom returns b's immediate dominator (the entry maps to itself).
-func (d *Dominators) Idom(b *Block) *Block { return d.idom[b] }
-
-// Dominates reports whether a dominates b (reflexively).
-func (d *Dominators) Dominates(a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		i := d.idom[b]
-		if i == nil || i == b {
-			return false
-		}
-		b = i
-	}
-}
-
-// ComputeDominators computes the dominator tree of f. ComputeCFG must have
-// been called first.
-func ComputeDominators(f *Func) *Dominators {
-	if len(f.Blocks) == 0 {
-		return &Dominators{idom: map[*Block]*Block{}}
-	}
+// Idoms returns the immediate dominator of every node reachable from entry,
+// walking the graph through succs and preds. The entry maps to itself;
+// unreachable nodes are absent.
+func Idoms[N comparable](entry N, succs, preds func(N) []N) map[N]N {
 	// Reverse postorder.
-	var rpo []*Block
-	seen := make(map[*Block]bool)
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		if seen[b] {
+	var rpo []N
+	seen := make(map[N]bool)
+	var dfs func(n N)
+	dfs = func(n N) {
+		if seen[n] {
 			return
 		}
-		seen[b] = true
-		for _, s := range b.Succs {
+		seen[n] = true
+		for _, s := range succs(n) {
 			dfs(s)
 		}
-		rpo = append(rpo, b)
+		rpo = append(rpo, n)
 	}
-	entry := f.Blocks[0]
 	dfs(entry)
-	for i, j := 0, len(rpo)-1; i < j; i, j = i+1, j-1 {
-		rpo[i], rpo[j] = rpo[j], rpo[i]
-	}
-	order := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		order[b] = i
+	slices.Reverse(rpo)
+	order := make(map[N]int, len(rpo))
+	for i, n := range rpo {
+		order[n] = i
 	}
 
-	idom := make(map[*Block]*Block, len(rpo))
+	idom := make(map[N]N, len(rpo))
 	idom[entry] = entry
-	intersect := func(a, b *Block) *Block {
+	intersect := func(a, b N) N {
 		for a != b {
 			for order[a] > order[b] {
 				a = idom[a]
@@ -72,132 +48,122 @@ func ComputeDominators(f *Func) *Dominators {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if idom[p] == nil {
+		for _, n := range rpo[1:] { // rpo[0] is the entry
+			var newIdom N
+			found := false
+			for _, p := range preds(n) {
+				if _, ok := idom[p]; !ok {
 					continue
 				}
-				if newIdom == nil {
-					newIdom = p
+				if !found {
+					newIdom, found = p, true
 				} else {
 					newIdom = intersect(newIdom, p)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if old, ok := idom[n]; found && (!ok || old != newIdom) {
+				idom[n] = newIdom
 				changed = true
 			}
 		}
 	}
-	return &Dominators{idom: idom}
+	return idom
 }
 
-// Loop is a natural loop.
-type Loop struct {
-	// Header is the loop's entry block (target of its back edges).
-	Header *Block
-	// Blocks is the loop body, including the header.
-	Blocks []*Block
-	// Parent is the innermost enclosing loop, or nil.
-	Parent *Loop
-	// Children are the loops immediately nested inside this one.
-	Children []*Loop
-	// Depth is the nesting depth (outermost loops have depth 1).
+// dominates reports whether a dominates b (reflexively) under idom.
+func dominates[N comparable](idom map[N]N, a, b N) bool {
+	for a != b {
+		i, ok := idom[b]
+		if !ok || i == b {
+			return false
+		}
+		b = i
+	}
+	return true
+}
+
+// LoopOf is a natural loop over graph nodes of type N.
+type LoopOf[N comparable] struct {
+	// Header is the loop's entry node (target of its back edges).
+	Header N
+	// Blocks is the loop body: the header, then the other nodes in the
+	// order the backward walks from the latches reach them.
+	Blocks []N
+	// Depth is the number of loops whose body holds the header, this
+	// one included (outermost loops have depth 1). Over reachable nodes
+	// natural loops are nested or disjoint, so this is the nesting depth.
 	Depth int
 
-	blockSet map[*Block]bool
+	blockSet map[N]bool
 }
 
-// Contains reports whether b belongs to the loop body.
-func (l *Loop) Contains(b *Block) bool { return l.blockSet[b] }
+// Contains reports whether n belongs to the loop body.
+func (l *LoopOf[N]) Contains(n N) bool { return l.blockSet[n] }
 
-// FindLoops detects the natural loops of f and returns them sorted
-// innermost-first (deepest nesting depth first), the order in which the
-// paper's cyclic heuristics analyze them.
-func FindLoops(f *Func, dom *Dominators) []*Loop {
-	var loops []*Loop
-	byHeader := make(map[*Block]*Loop)
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			if !dom.Dominates(s, b) {
+// Loop is a natural loop of an IR function.
+type Loop = LoopOf[*Block]
+
+// NaturalLoops detects the natural loops of the graph whose nodes are
+// listed in nodes, nodes[0] being the entry, and returns them sorted
+// innermost-first (deepest first, stably), the order in which the paper's
+// cyclic heuristics analyze them. Back edges are found in node order, then
+// in successor order; a latch the entry does not reach is skipped, and
+// back edges into one header make one loop.
+func NaturalLoops[N comparable](nodes []N, succs, preds func(N) []N) []*LoopOf[N] {
+	if len(nodes) == 0 {
+		return nil
+	}
+	idom := Idoms(nodes[0], succs, preds)
+	var loops []*LoopOf[N]
+	byHeader := make(map[N]*LoopOf[N])
+	for _, n := range nodes {
+		if _, ok := idom[n]; !ok {
+			continue // the entry does not reach this latch
+		}
+		for _, header := range succs(n) {
+			if !dominates(idom, header, n) {
 				continue // not a back edge
 			}
-			header := s
 			l := byHeader[header]
 			if l == nil {
-				l = &Loop{Header: header, blockSet: map[*Block]bool{header: true}}
-				l.Blocks = append(l.Blocks, header)
+				l = &LoopOf[N]{Header: header, Blocks: []N{header}, blockSet: map[N]bool{header: true}}
 				byHeader[header] = l
 				loops = append(loops, l)
 			}
 			// Collect the body: predecessors reachable backwards
 			// from the latch without passing the header.
-			stack := []*Block{b}
+			stack := []N{n}
 			for len(stack) > 0 {
-				n := stack[len(stack)-1]
+				m := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.blockSet[n] {
+				if l.blockSet[m] {
 					continue
 				}
-				l.blockSet[n] = true
-				l.Blocks = append(l.Blocks, n)
-				stack = append(stack, n.Preds...)
+				l.blockSet[m] = true
+				l.Blocks = append(l.Blocks, m)
+				stack = append(stack, preds(m)...)
 			}
 		}
 	}
-	// Establish nesting: loop A is nested in B if A's header is in B's
-	// body and A != B; the parent is the smallest such B.
 	for _, a := range loops {
 		for _, b := range loops {
-			if a == b || !b.blockSet[a.Header] {
-				continue
-			}
-			if a.Parent == nil || len(b.Blocks) < len(a.Parent.Blocks) {
-				a.Parent = b
+			if b.blockSet[a.Header] {
+				a.Depth++
 			}
 		}
 	}
-	for _, l := range loops {
-		if l.Parent != nil {
-			l.Parent.Children = append(l.Parent.Children, l)
-		}
-	}
-	var depth func(l *Loop) int
-	depth = func(l *Loop) int {
-		if l.Parent == nil {
-			return 1
-		}
-		return depth(l.Parent) + 1
-	}
-	for _, l := range loops {
-		l.Depth = depth(l)
-	}
-	// Innermost first.
-	for i := 1; i < len(loops); i++ {
-		for j := i; j > 0 && loops[j].Depth > loops[j-1].Depth; j-- {
-			loops[j], loops[j-1] = loops[j-1], loops[j]
-		}
-	}
+	slices.SortStableFunc(loops, func(a, b *LoopOf[N]) int { return b.Depth - a.Depth })
 	return loops
 }
 
-// LoopDepth returns a map from block to its innermost loop nesting depth
-// (0 for blocks outside all loops).
-func LoopDepth(loops []*Loop) map[*Block]int {
-	d := make(map[*Block]int)
-	for _, l := range loops {
-		for _, b := range l.Blocks {
-			if l.Depth > d[b] {
-				d[b] = l.Depth
-			}
-		}
-	}
-	return d
+// FindLoops detects the natural loops of f, innermost first (see
+// NaturalLoops). ComputeCFG must have been called first.
+func FindLoops(f *Func) []*Loop {
+	return NaturalLoops(f.Blocks, blockSuccs, blockPreds)
 }
+
+func blockSuccs(b *Block) []*Block { return b.Succs }
+func blockPreds(b *Block) []*Block { return b.Preds }
 
 // Liveness holds per-block live-in/live-out virtual register sets.
 type Liveness struct {

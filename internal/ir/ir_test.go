@@ -66,15 +66,15 @@ func TestComputeCFGPrunesUnreachable(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	f, bs := buildDiamond()
-	dom := ComputeDominators(f)
+	idom := Idoms(f.Blocks[0], blockSuccs, blockPreds)
 	b0, b1, b2, b3 := bs[0], bs[1], bs[2], bs[3]
-	if dom.Idom(b3) != b0 {
-		t.Errorf("idom(B3) = B%d, want B0", dom.Idom(b3).ID)
+	if idom[b3] != b0 {
+		t.Errorf("idom(B3) = B%d, want B0", idom[b3].ID)
 	}
-	if !dom.Dominates(b0, b3) || dom.Dominates(b1, b3) || dom.Dominates(b2, b3) {
+	if !dominates(idom, b0, b3) || dominates(idom, b1, b3) || dominates(idom, b2, b3) {
 		t.Errorf("diamond dominance wrong")
 	}
-	if !dom.Dominates(b1, b1) {
+	if !dominates(idom, b1, b1) {
 		t.Errorf("dominance not reflexive")
 	}
 }
@@ -111,8 +111,7 @@ func buildLoop() (*Func, []*Block) {
 
 func TestFindLoops(t *testing.T) {
 	f, bs := buildLoop()
-	dom := ComputeDominators(f)
-	loops := FindLoops(f, dom)
+	loops := FindLoops(f)
 	if len(loops) != 1 {
 		t.Fatalf("found %d loops, want 1", len(loops))
 	}
@@ -152,7 +151,7 @@ func TestNestedLoopsInnermostFirst(t *testing.T) {
 	ret := NewInstr(OpRet)
 	b3.Insts = append(b3.Insts, ret)
 	f.ComputeCFG()
-	loops := FindLoops(f, ComputeDominators(f))
+	loops := FindLoops(f)
 	if len(loops) != 2 {
 		t.Fatalf("found %d loops, want 2", len(loops))
 	}
@@ -163,12 +162,8 @@ func TestNestedLoopsInnermostFirst(t *testing.T) {
 	if loops[1].Header != b1 || loops[1].Depth != 1 {
 		t.Errorf("outer loop wrong")
 	}
-	if loops[0].Parent != loops[1] {
-		t.Errorf("nesting parent wrong")
-	}
-	depths := LoopDepth(loops)
-	if depths[b2] != 2 || depths[b1] != 1 || depths[b3] != 0 {
-		t.Errorf("LoopDepth wrong: %v", depths)
+	if !loops[1].Contains(b2) || loops[0].Contains(b1) {
+		t.Errorf("inner loop not nested in the outer one")
 	}
 }
 
@@ -308,25 +303,25 @@ func TestDominatorsRandomCFGs(t *testing.T) {
 			b.Insts = append(b.Insts, br)
 		}
 		f.ComputeCFG()
-		dom := ComputeDominators(f)
 		entry := f.Blocks[0]
+		idom := Idoms(entry, blockSuccs, blockPreds)
 		for _, b := range f.Blocks {
-			if !dom.Dominates(entry, b) {
+			if !dominates(idom, entry, b) {
 				t.Fatalf("seed %d: entry does not dominate B%d", seed, b.ID)
 			}
-			if !dom.Dominates(b, b) {
+			if !dominates(idom, b, b) {
 				t.Fatalf("seed %d: B%d does not dominate itself", seed, b.ID)
 			}
 			if b != entry {
-				id := dom.Idom(b)
-				if id == nil || !dom.Dominates(id, b) || id == b {
+				id := idom[b]
+				if id == nil || !dominates(idom, id, b) || id == b {
 					t.Fatalf("seed %d: bad idom for B%d", seed, b.ID)
 				}
 			}
 		}
 		// Loop detection must terminate and produce bodies containing
 		// their headers.
-		for _, l := range FindLoops(f, dom) {
+		for _, l := range FindLoops(f) {
 			if !l.Contains(l.Header) {
 				t.Fatalf("seed %d: loop body missing header", seed)
 			}

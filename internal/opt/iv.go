@@ -16,8 +16,7 @@ import "elag/internal/ir"
 // arithmetic-dependent (predictable).
 func StrengthReduce(f *ir.Func) bool {
 	f.ComputeCFG()
-	dom := ir.ComputeDominators(f)
-	loops := ir.FindLoops(f, dom)
+	loops := ir.FindLoops(f)
 	changed := false
 	for {
 		reduced := false
@@ -26,8 +25,7 @@ func StrengthReduce(f *ir.Func) bool {
 				reduced = true
 				changed = true
 				f.ComputeCFG()
-				dom = ir.ComputeDominators(f)
-				loops = ir.FindLoops(f, dom)
+				loops = ir.FindLoops(f)
 				break
 			}
 		}

@@ -9,8 +9,7 @@ import "elag/internal/ir"
 // clobber another definition. Returns whether anything changed.
 func LICM(f *ir.Func) bool {
 	f.ComputeCFG()
-	dom := ir.ComputeDominators(f)
-	loops := ir.FindLoops(f, dom)
+	loops := ir.FindLoops(f)
 	changed := false
 	for {
 		hoisted := false
@@ -21,8 +20,7 @@ func LICM(f *ir.Func) bool {
 				// Adding a preheader invalidates the CFG
 				// analyses; recompute and restart.
 				f.ComputeCFG()
-				dom = ir.ComputeDominators(f)
-				loops = ir.FindLoops(f, dom)
+				loops = ir.FindLoops(f)
 				break
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -305,14 +306,13 @@ func TestReplay(t *testing.T) {
 // allocsPerRun is testing.AllocsPerRun without its pin of GOMAXPROCS to
 // 1, which would leave Replay a single lane: the mallocs and the bytes
 // (MemStats.TotalAlloc) per call of f, averaged over runs calls, after ten
-// warm-up calls. With several lanes the runtime now and then refills its
-// per-CPU free lists of goroutines and of parked goroutines' wait records
-// (a garbage collection empties the shared list), so each result is the
-// least of ten such averages; an allocation made per chunk shows in every
-// one of them. The collector is paused while a window is measured: a
-// collection discards the half-used 16-byte block that allocations under
-// 16 bytes share (NewBatch makes hundreds), so where one lands moves a
-// window's bytes by 16 with the mallocs unchanged.
+// warm-up calls. Each result is the least of ten such averages; an
+// allocation made per chunk shows in every one of them. Before each window
+// stockFreeLists fills the runtime's free lists, which several lanes
+// otherwise drain now and then (see there). The collector is paused while a
+// window is measured: a collection discards the half-used 16-byte block
+// that allocations under 16 bytes share (NewBatch makes hundreds), so where
+// one lands moves a window's bytes by 16 with the mallocs unchanged.
 func allocsPerRun(runs int, f func()) (mallocs, bytes uint64) {
 	for range 10 {
 		f()
@@ -322,6 +322,7 @@ func allocsPerRun(runs int, f func()) (mallocs, bytes uint64) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		gcPercent := debug.SetGCPercent(-1)
+		stockFreeLists()
 		runtime.ReadMemStats(&before)
 		for range runs {
 			f()
@@ -332,6 +333,30 @@ func allocsPerRun(runs int, f func()) (mallocs, bytes uint64) {
 		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
 	}
 	return mallocs, bytes
+}
+
+// stockFreeLists parks 256 goroutines on a channel and releases them. A
+// lane goroutine and a parked goroutine's wait record (sudog) come from a
+// per-CPU free list, refilled from a shared one, and go back to the list of
+// the CPU they end on, so with several lanes one CPU's list can run dry and
+// the runtime allocates a new one; a collection also empties the shared
+// list of wait records. Afterwards the lists hold far more of both than a
+// window of Replay calls takes.
+func stockFreeLists() {
+	var started, exited sync.WaitGroup
+	release := make(chan struct{})
+	for range 256 {
+		started.Add(1)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			started.Done()
+			<-release
+		}()
+	}
+	started.Wait()
+	close(release)
+	exited.Wait()
 }
 
 // TestReplayAllocs: Replay allocates per call, never per chunk or per
@@ -346,7 +371,7 @@ func TestReplayAllocs(t *testing.T) {
 	// each start with a 4,096-cycle port window would exceed byteBound.
 	const allocBound, byteBound = 150, 1 << 20
 	// Four lanes may differ by the runtime's free-list refills (see
-	// allocsPerRun), which are smaller than 36 extra chunks' buffers.
+	// stockFreeLists), which are smaller than 36 extra chunks' buffers.
 	const laneSlack = 1 << 10
 	// 48,000 instructions, so both runs end by fuel exhaustion.
 	p := asmtest.MustAssemble(t, loopOf(6000, obsProgBody))
